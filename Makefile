@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint analyze slow bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs
+.PHONY: test lint analyze slow claims bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs
 
 test:
 	$(PY) -m pytest -x -q
@@ -26,6 +26,17 @@ lint: analyze
 
 slow:
 	$(PY) -m pytest -q -m slow tests benchmarks/bench_perf_hotpaths.py benchmarks/bench_engine_reuse.py
+
+# The paper-shape assertions (scaling exponents and crossovers, the
+# lower-bound sandwich, visit/connector bounds, message complexity, mixing
+# time, spanning tree, ablations A1-A3).  pytest.ini scopes collection to
+# tests/, so the bench files are named explicitly.
+CLAIMS := $(addprefix benchmarks/bench_,ablations.py connector_bound.py diameter_sweep.py \
+	lower_bound.py many_walks.py message_complexity.py mixing_time.py single_walk.py \
+	spanning_tree.py stitching.py subroutines.py visit_bound.py)
+
+claims:
+	$(PY) -m pytest -q $(CLAIMS)
 
 bench-hotpaths:
 	$(PY) benchmarks/bench_perf_hotpaths.py

@@ -1,4 +1,4 @@
-"""A1–A3 — ablations of the paper's design choices (DESIGN.md §4).
+"""A1–A3 — ablations of the paper's design choices (arXiv:0911.3195 §1.2, §2.1).
 
 A1  Degree-proportional Phase-1 pools (the §2.1 change over PODC'09):
     on skewed-degree graphs, uniform per-node pools starve high-degree

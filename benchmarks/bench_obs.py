@@ -145,12 +145,12 @@ def bench_congestion_heatmap(
     """Per-edge attribution overhead + in-bench conservation audit.
 
     Three configs from identical seeds: never-attached baseline, an
-    inert ``attach_observability()`` (the detached staging guard on the
-    charge path), and a live :class:`HeatmapSink`.  Beyond the wall
-    clock, the bench asserts the PR-10 conservation identity on the
-    heatmapped run: every ledger phase's messages are fully attributed
-    (``located + retired + residual == messages``) with zero residual,
-    and the per-edge congestion maxima reproduce the ledger scalar.
+    inert ``attach_observability()`` (the probe hook on the charge
+    path), and a live :class:`HeatmapSink`.  Beyond the wall clock, the
+    bench asserts the conservation identity on the heatmapped run: every
+    ledger phase's messages are fully attributed
+    (``located + retired == messages``) with zero residual, and the
+    per-edge congestion maxima reproduce the ledger scalar.
     """
     graph = random_regular_graph(n, degree, seed)
     lengths = OBS_LENGTHS if lengths is None else lengths

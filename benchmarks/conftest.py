@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark harness.
 
-Each bench module reproduces one experiment row from DESIGN.md §4: it
-computes the paper-shaped table (round counts, ratios, exponents), prints
+Each bench module reproduces one claim of the paper (arXiv:0911.3195; the
+abstract is in PAPER.md): it computes the paper-shaped table (round counts, ratios, exponents), prints
 it live (bypassing capture), persists it under ``benchmarks/results/``,
 asserts the *shape* claims (who wins, scaling exponents, sandwiches), and
 wraps a representative computation in pytest-benchmark for wall-clock

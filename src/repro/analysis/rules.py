@@ -520,9 +520,9 @@ class ObsPassivityRule(Rule):
 
     name = "obs-passivity"
     description = (
-        "wall-clock reads in src/repro go through repro.obs.clock only, and "
-        "src/repro/obs/ never calls simulation mutators, draws randomness, "
-        "stages heatmap attribution, or settles charges outside the probe"
+        "wall-clock reads in src/repro go through repro.obs.clock only, "
+        "src/repro/obs/ never calls simulation mutators or draws randomness, "
+        "and ledger.charge is called only from congest/network.py"
     )
 
     #: The perf-timer family (``time.time`` is ``seeded-rng``'s beat).
@@ -634,34 +634,19 @@ class ObsPassivityRule(Rule):
                         "perturbs every replay it watches",
                     )
                 )
-            elif in_obs and parts[-1] in ("stage_edges", "stage_counts"):
-                # Staging is the *charge path's* declaration of where its
-                # messages travel; an observer staging its own attribution
-                # would fabricate congestion that no charge backs.
-                findings.append(
-                    self.finding(
-                        src,
-                        node,
-                        f"{chain}() stages heatmap attribution from inside the "
-                        "observability layer: only the charge path "
-                        "(network/primitives/engine) may declare edge traffic",
-                    )
-                )
             elif (
-                in_obs
-                and parts[-1] == "settle_charge"
-                and src.path.name != "probe.py"
+                parts[-2:] == ["ledger", "charge"]
+                and not src.path.as_posix().endswith("congest/network.py")
             ):
-                # Settlement is driven exclusively by the ledger's charged
-                # hook via the probe — any other caller would double-book
-                # staged entries and break the conservation identity.
+                # Network.charge is the one way into the ledger: it carries
+                # the per-edge load the observers read.  A direct ledger
+                # charge elsewhere could bill messages no edge accounts for.
                 findings.append(
                     self.finding(
                         src,
                         node,
-                        f"{chain}() settles a heatmap charge outside the probe: "
-                        "settlement happens once, from the ledger's charged "
-                        "hook, or the conservation identity breaks",
+                        f"{chain}() bypasses Network.charge: charges go through "
+                        "congest/network.py so every charge carries its edge load",
                     )
                 )
         return findings

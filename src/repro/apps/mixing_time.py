@@ -34,6 +34,7 @@ from repro.apps.distribution_test import (
     TesterVerdict,
     recommended_sample_count,
 )
+from repro.congest.load import EVERY, SlotLoad, TreeSweep
 from repro.congest.network import Network
 from repro.congest.phases import (
     BASELINE_POWER_ITERATION,
@@ -146,11 +147,12 @@ def estimate_mixing_time(
         )
         verdict = tester.test(np.asarray(result.destinations, dtype=np.int64))
         with net.phase(MIXING_BUCKET_UPCAST):
-            net.ledger.charge(
-                tester.aggregation_rounds(tree.height, k),
-                messages=graph.n,
-                congestion=1,
-            )
+            # Every non-root node upcasts its bucket counts (n − 1 messages)
+            # after the source hands the drawn bucket IDs to its first
+            # child; the pipelined broadcast and upcast take the rounds.
+            announce = tree.children[tree.root][:1]
+            upcast = TreeSweep(net, tree, up=[(EVERY, 1)], down=[(announce, 1)])
+            net.charge(tester.aggregation_rounds(tree.height, k), upcast)
         probes.append(MixingProbe(length=length, verdict=verdict, rounds=net.rounds - start))
         return verdict
 
@@ -229,9 +231,9 @@ def power_iteration_mixing_time(
             np.add.at(new_mass, graph.csr_target, contrib)
             mass = new_mass
             step += 1
-            net.ledger.charge(1, messages=graph.n_slots, congestion=1)
+            net.charge(1, SlotLoad(np.ones(graph.n_slots, dtype=np.int64)))
             if step == next_check:
-                net.ledger.charge(tree.height, messages=graph.n - 1, congestion=1)
+                net.charge(tree.height, TreeSweep(net, tree, up=[(EVERY, 1)]))
                 if float(np.abs(mass - pi).sum()) < epsilon_l1:
                     return step, net.rounds - rounds_before
                 next_check *= 2

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.wilson import cover_time_of, first_entry_tree
+from repro.congest.load import PairLoad
 from repro.congest.network import Network
 from repro.congest.phases import (
     PHASE1,
@@ -175,13 +176,14 @@ def random_spanning_tree(
             # naive-parallel mode the token already told every node.
             if result.mode == "stitched":
                 phase1 = net.ledger.phases.get(PHASE1)
-                net.ledger.charge(phase1.rounds if phase1 else 0, messages=0, congestion=1)
+                net.charge(phase1.rounds if phase1 else 0)
 
+        edges = first_entry_tree(truncated, graph.n)
         with net.phase(RST_PICK_EDGES):
             # Each non-root node asks the neighbor visited just before its
             # first visit for the shared edge — one local exchange round.
-            net.ledger.charge(1, messages=graph.n - 1, congestion=1)
-        edges = first_entry_tree(truncated, graph.n)
+            pairs = np.array(edges, dtype=np.int64)
+            net.charge(1, PairLoad(net, pairs[:, 1], pairs[:, 0]))
         if not graph.subgraph_is_spanning_tree(edges):
             raise GraphError("first-entry edges do not form a spanning tree (bug)")
         return RSTResult(

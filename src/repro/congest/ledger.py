@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.congest.load import IDLE, EdgeLoad
 from repro.congest.phases import UNATTRIBUTED
 from repro.errors import WalkError
 
@@ -59,7 +60,8 @@ class RoundLedger:
 
     ``observer`` is the passive observability hook (``repro.obs.Probe``
     or anything with the same ``phase_pushed``/``phase_popped``/
-    ``charged``/``delta_measured`` surface).  It defaults to ``None`` and
+    ``charged``/``delta_measured`` surface); ``charged`` receives each
+    charge's :class:`~repro.congest.load.EdgeLoad`.  It defaults to ``None`` and
     every hook site is a single ``is not None`` check, so un-observed
     ledgers — the golden-ledger fast path — pay nothing.  Observers only
     *read* the ledger; they must never charge it.
@@ -105,8 +107,15 @@ class RoundLedger:
             if obs is not None:
                 obs.phase_popped(name, self)
 
-    def charge(self, rounds: int, messages: int = 0, congestion: int = 0) -> None:
-        """Record ``rounds`` rounds / ``messages`` messages in the current phase."""
+    def charge(self, rounds: int, load: EdgeLoad = IDLE) -> None:
+        """Record ``rounds`` rounds carrying ``load`` in the current phase.
+
+        The load's totals are the charge's messages and congestion; the
+        observer receives the load itself.  Algorithms charge through
+        :meth:`Network.charge <repro.congest.network.Network.charge>`.
+        """
+        messages = load.messages
+        congestion = load.congestion
         if rounds < 0 or messages < 0:
             raise ValueError("cannot charge negative cost")
         self.rounds += rounds
@@ -116,7 +125,7 @@ class RoundLedger:
         self.phases.setdefault(name, PhaseStats()).merge_step(rounds, messages, congestion)
         obs = self.observer
         if obs is not None:
-            obs.charged(name, rounds, messages, congestion)
+            obs.charged(name, rounds, load)
 
     def phase_rounds(self, name: str) -> int:
         stats = self.phases.get(name)

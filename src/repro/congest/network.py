@@ -24,17 +24,19 @@ Two execution styles share one round/ledger namespace:
 
 Both styles draw rounds from the same counter, so a composite algorithm
 (e.g. SINGLE-RANDOM-WALK = batch Phase 1 + protocol-driven BFS sweeps +
-batch stitching) reports one faithful total.
+batch stitching) reports one faithful total.  Every charge goes through
+:meth:`Network.charge` with its per-edge load (:mod:`repro.congest.load`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.congest.ledger import RoundLedger
+from repro.congest.load import IDLE, EdgeLoad, NodePath, PairLoad, SlotLoad
 from repro.congest.message import Message
 from repro.congest.protocol import Protocol, ProtocolAPI
 from repro.errors import ProtocolError
@@ -84,11 +86,6 @@ class Network:
         # ReliableTokenWalkProtocol); aggregated here so engine/scheduler
         # stats can surface them without holding protocol objects.
         self.retransmissions_seen = 0
-        # Optional congestion-cartography sink (repro.obs.heatmap).  When
-        # attached, every deliver/charge path stages its per-edge message
-        # attribution immediately before charging the ledger; detached, each
-        # site pays exactly one `is not None` test.
-        self.heatmap = None
         self._pair_slot_index: tuple[np.ndarray, np.ndarray] | None = None
         # FIFO queue per directed edge, keyed by (src, dst).  Multi-edges
         # between the same pair pool their bandwidth, which matches the
@@ -156,8 +153,19 @@ class Network:
         return self.ledger.phase(name)
 
     # ------------------------------------------------------------------
-    # Heatmap attribution support
+    # Charging
     # ------------------------------------------------------------------
+    def charge(self, rounds: int, load: EdgeLoad = IDLE) -> int:
+        """Bill ``rounds`` rounds carrying ``load`` to the current phase.
+
+        The one way into the ledger: ``load`` (a :mod:`repro.congest.load`
+        value) supplies the message and congestion totals and reaches the
+        ledger's observer whole, so per-edge attribution is the charge
+        itself.  The default is a rounds-only charge.  Returns ``rounds``.
+        """
+        self.ledger.charge(rounds, load)
+        return rounds
+
     def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         # Lazy (sorted pair-key, representative-slot) index: the first CSR
         # slot (stable argsort) represents each directed (src, dst) pair,
@@ -184,35 +192,6 @@ class Network:
         pos = np.minimum(np.searchsorted(keys_sorted, keys), keys_sorted.size - 1)
         return np.where(keys_sorted[pos] == keys, order[pos], -1)
 
-    def _stage_pairs(
-        self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        messages: np.ndarray,
-        congestion: np.ndarray,
-    ) -> None:
-        """Locate pairs onto slots and stage them on the attached heatmap.
-
-        Stray pairs (no live slot — e.g. a replay hop across a just-deleted
-        edge) fold sum-preservingly onto the first located slot so the
-        conservation identity survives; a batch with no located slot at all
-        stays unstaged and lands in the sink's residual bucket.
-        """
-        slots = self.edge_slots_for_pairs(sources, targets)
-        bad = slots < 0
-        if bad.any():
-            good = ~bad
-            if not good.any():
-                return
-            stray_messages = int(messages[bad].sum())
-            stray_load = int(congestion[bad].max())
-            slots = slots[good]
-            messages = messages[good].copy()
-            congestion = congestion[good].copy()
-            messages[0] += stray_messages
-            congestion[0] = max(congestion[0], stray_load)
-        self.heatmap.stage_edges(slots, messages, congestion)
-
     # ------------------------------------------------------------------
     # Batch-step execution
     # ------------------------------------------------------------------
@@ -227,11 +206,9 @@ class Network:
         if words > self.max_words:
             raise ProtocolError(f"message of {words} words exceeds the {self.max_words}-word cap")
 
-    def _charge_iteration(self, n_messages: int, congestion: int) -> int:
+    def _charge_iteration(self, load: EdgeLoad) -> int:
         """Charge one batch iteration: ``max(1, ceil(congestion/capacity))``."""
-        rounds = max(1, -(-congestion // self.capacity))  # ceil division
-        self.ledger.charge(rounds, messages=n_messages, congestion=congestion)
-        return rounds
+        return self.charge(max(1, -(-load.congestion // self.capacity)), load)
 
     def deliver_step(
         self,
@@ -256,19 +233,7 @@ class Network:
         if slot_arr.size == 0:
             return 0
         self._check_words(words)
-        counts = np.bincount(slot_arr, minlength=0)
-        heatmap = self.heatmap
-        if aggregate:
-            n_messages = int(np.count_nonzero(counts))
-            congestion = 1
-            if heatmap is not None:
-                heatmap.stage_counts(np.minimum(counts, 1), n_messages, congestion)
-        else:
-            n_messages = int(slot_arr.size)
-            congestion = int(counts.max())
-            if heatmap is not None:
-                heatmap.stage_counts(counts, n_messages, congestion)
-        return self._charge_iteration(n_messages, congestion)
+        return self._charge_iteration(SlotLoad.per_message(slot_arr, unit=aggregate))
 
     def deliver_step_grouped(
         self,
@@ -300,12 +265,8 @@ class Network:
         self._check_words(words)
         span = int(group_arr.max()) - int(group_arr.min()) + 1
         keys = slot_arr * span + (group_arr - int(group_arr.min()))
-        pair_slots = np.unique(keys) // span
-        used, per_edge = np.unique(pair_slots, return_counts=True)
-        heatmap = self.heatmap
-        if heatmap is not None:
-            heatmap.stage_edges(used, per_edge, per_edge)
-        return self._charge_iteration(int(pair_slots.size), int(per_edge.max()))
+        used, per_edge = np.unique(np.unique(keys) // span, return_counts=True)
+        return self._charge_iteration(SlotLoad(per_edge, used))
 
     def deliver_pairs(
         self,
@@ -329,61 +290,23 @@ class Network:
         if src.size == 0:
             return 0
         self._check_words(words)
-        keys = src * self.graph.n + dst
-        pair_keys, counts = np.unique(keys, return_counts=True)
-        if aggregate:
-            n_messages = int(len(counts))
-            congestion = 1
-        else:
-            n_messages = int(src.size)
-            congestion = int(counts.max())
-        if self.heatmap is not None:
-            n = self.graph.n
-            per_pair = (
-                np.ones(pair_keys.size, dtype=np.int64) if aggregate else counts
-            )
-            self._stage_pairs(pair_keys // n, pair_keys % n, per_pair, per_pair)
-        return self._charge_iteration(n_messages, congestion)
+        n = self.graph.n
+        pair_keys, counts = np.unique(src * n + dst, return_counts=True)
+        load = PairLoad(self, pair_keys // n, pair_keys % n, None if aggregate else counts)
+        return self._charge_iteration(load)
 
-    def deliver_sequential(
-        self,
-        hop_count: int,
-        *,
-        messages_per_hop: int = 1,
-        path: np.ndarray | Iterable[int] | None = None,
-    ) -> int:
-        """Charge a token travelling ``hop_count`` hops, one hop per round.
+    def deliver_sequential(self, path: Sequence[int]) -> int:
+        """Charge a token travelling along ``path``, one hop per round.
 
-        Convenience for walk tokens and path routing, where congestion is
-        structurally impossible (a single message moves per round).
-
-        ``path`` optionally names the node sequence travelled (at least
-        ``hop_count + 1`` nodes, hop ``i`` crossing ``path[i] → path[i+1]``)
-        so an attached heatmap can attribute the traffic per edge; it is
-        ignored — never even materialized by callers — when no heatmap is
-        attached, and a too-short path simply leaves the charge in the
-        sink's residual bucket.
+        Hop ``i`` crosses ``path[i] → path[i + 1]``, so the charge is
+        ``len(path) − 1`` rounds and messages.  For walk tokens and path
+        routing, where congestion is structurally impossible (a single
+        message moves per round).  Returns the number of hops.
         """
-        if hop_count < 0:
-            raise ProtocolError("hop_count must be non-negative")
-        if hop_count:
-            if self.heatmap is not None and path is not None:
-                nodes = np.asarray(
-                    list(path) if not isinstance(path, np.ndarray) else path,
-                    dtype=np.int64,
-                )
-                if nodes.size > hop_count:
-                    keys = nodes[:hop_count] * self.graph.n + nodes[1 : hop_count + 1]
-                    pair_keys, hops = np.unique(keys, return_counts=True)
-                    n = self.graph.n
-                    self._stage_pairs(
-                        pair_keys // n,
-                        pair_keys % n,
-                        hops * messages_per_hop,
-                        np.ones(pair_keys.size, dtype=np.int64),
-                    )
-            self.ledger.charge(hop_count, messages=hop_count * messages_per_hop, congestion=1)
-        return hop_count
+        load = NodePath(self, path)
+        if load.messages:
+            self.charge(load.messages, load)
+        return load.messages
 
     # ------------------------------------------------------------------
     # Event-driven execution
@@ -440,22 +363,17 @@ class Network:
     def _deliver_one_round(self) -> list[Message]:
         """Pop up to ``capacity`` messages from each directed edge; charge 1 round."""
         delivered: list[Message] = []
-        congestion = 0
-        heatmap = self.heatmap
-        staged: list[tuple[int, int, int, int]] | None = [] if heatmap is not None else None
+        # (src, dst, delivered, queued) per pair: the round's per-edge load.
+        traffic: list[tuple[int, int, int, int]] = []
         for key in list(self._queues):
             queue = self._queues[key]
             load = len(queue)
-            congestion = max(congestion, load)
             take = min(self.capacity, load)
-            if staged is not None and take:
-                staged.append((key[0], key[1], take, load))
+            traffic.append((key[0], key[1], take, load))
             for _ in range(take):
                 delivered.append(queue.popleft())
             if not queue:
                 del self._queues[key]
-        if staged:
-            cols = np.asarray(staged, dtype=np.int64)
-            self._stage_pairs(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
-        self.ledger.charge(1, messages=len(delivered), congestion=congestion)
+        cols = np.asarray(traffic, dtype=np.int64).reshape(-1, 4)
+        self.charge(1, PairLoad(self, cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]))
         return delivered

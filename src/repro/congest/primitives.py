@@ -16,16 +16,21 @@ The fast paths exist because algorithms such as SINGLE-RANDOM-WALK invoke
 `O(ℓ/λ)` tree sweeps whose message patterns are deterministic given the
 tree; re-simulating identical floods adds nothing but wall-clock time.
 ``Network`` totals are the same either way (see
-``tests/test_congest_primitives.py``).
+``tests/test_congest_primitives.py``), and so is the per-edge traffic: a
+fast path charges a :class:`~repro.congest.load.FloodLoad` or
+:class:`~repro.congest.load.TreeSweep` that lists exactly the messages the
+protocol sends (``tests/test_edge_loads.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.congest.load import EVERY, FloodLoad, TreeSweep
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
@@ -41,7 +46,7 @@ __all__ = [
     "build_bfs_tree",
     "charged_convergecast",
     "charged_broadcast",
-    "stage_tree_funnel",
+    "ancestor_closure",
 ]
 
 
@@ -50,7 +55,8 @@ class BfsTree:
     """A rooted BFS tree produced by the flood protocol.
 
     ``parent[root] == root``; ``depth`` is hop distance from the root;
-    ``height`` is the eccentricity of the root (max depth).
+    ``height`` is the eccentricity of the root (max depth).  ``unreached``
+    counts the nodes a crash-tolerant build could not reach (depth ``-1``).
     """
 
     root: int
@@ -59,6 +65,9 @@ class BfsTree:
     children: list[list[int]] = field(repr=False)
     build_rounds: int = 0
     build_messages: int = 0
+    unreached: int = 0
+    #: Per-edge listing of the build flood, cached by :class:`FloodLoad`.
+    flood_edges: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def height(self) -> int:
@@ -68,8 +77,22 @@ class BfsTree:
     def n(self) -> int:
         return len(self.parent)
 
+    @property
+    def reached(self) -> int:
+        return self.n - self.unreached
+
+    @cached_property
+    def parent_array(self) -> np.ndarray:
+        return np.asarray(self.parent, dtype=np.int64)
+
+    @cached_property
+    def depth_array(self) -> np.ndarray:
+        return np.asarray(self.depth, dtype=np.int64)
+
     def path_to_root(self, node: int) -> list[int]:
         """Tree path ``node -> ... -> root`` (inclusive both ends)."""
+        if self.depth[node] < 0:
+            raise ProtocolError(f"node {node} is not reachable from tree root {self.root}")
         path = [node]
         while path[-1] != self.root:
             path.append(self.parent[path[-1]])
@@ -186,10 +209,10 @@ def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
 
     Every node that joins the tree at depth ``d`` sends one ``explore`` to
     each distinct neighbor other than itself and its parent (the root skips
-    only itself); those sends are delivered — and the run's last round
-    happens — one round after the deepest sender adopts.  One message per
-    directed node pair means queues never exceed one, so congestion is 1
-    every delivering round, exactly as the engine observes.
+    only itself); unreached nodes never join.  The sends are delivered — and the
+    run's last round happens — one round after the deepest sender adopts.
+    One message per directed node pair means queues never exceed one, so
+    congestion is 1 every delivering round, exactly as the engine observes.
     """
     n = graph.n
     non_loop = graph.csr_source != graph.csr_target
@@ -197,86 +220,29 @@ def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
     distinct = np.bincount(pair_keys // n, minlength=n)
     sends = distinct - 1  # every non-root node skips its parent...
     sends[root] = distinct[root]  # ...the root skips only itself
+    sends[depth < 0] = 0
     messages = int(sends.sum())
     rounds = 1 + int(depth[sends > 0].max()) if messages else 0
     return rounds, messages
 
 
-def _stage_flood(network: Network, tree: BfsTree) -> None:
-    """Stage the flood's per-edge explore sends onto the attached heatmap.
+def ancestor_closure(tree: BfsTree, nodes: Iterable[int]) -> set[int]:
+    """Non-root nodes on the tree paths from reached ``nodes`` to the root.
 
-    Mirrors :func:`_flood_cost`'s enumeration: every joining node explores
-    each distinct non-loop neighbor except its parent (the root skips only
-    itself), one message per directed pair.  The pair arrays are cached on
-    the tree so repeated cache-hit charges stay cheap.  Any count drift
-    versus the recorded ``build_messages`` (protocol-built trees, recovery
-    trees with unreached nodes) folds onto the first pair so the staged sum
-    always equals the charge; an irreconcilable tree stays unstaged and the
-    charge lands in the sink's residual bucket instead.
+    The reporters of a convergecast restricted to ``nodes``: exactly the
+    nodes whose subtree holds one of them.
     """
-    if network.heatmap is None or tree.build_messages <= 0:
-        return
-    graph = network.graph
-    if tree.n != graph.n:
-        return
-    cached = getattr(tree, "_flood_stage", None)
-    if cached is None:
-        n = graph.n
-        non_loop = graph.csr_source != graph.csr_target
-        pair_keys = np.unique(
-            graph.csr_source[non_loop].astype(np.int64) * n + graph.csr_target[non_loop]
-        )
-        src = pair_keys // n
-        dst = pair_keys % n
-        parent = np.asarray(tree.parent, dtype=np.int64)
-        keep = (src == tree.root) | (dst != parent[src])
-        cached = (src[keep], dst[keep])
-        tree._flood_stage = cached  # type: ignore[attr-defined]
-    src, dst = cached
-    if src.size == 0:
-        return
-    messages = np.ones(src.size, dtype=np.int64)
-    drift = tree.build_messages - src.size
-    if drift:
-        if messages[0] + drift < 0:
-            return
-        messages[0] += drift
-    network._stage_pairs(src, dst, messages, np.ones(src.size, dtype=np.int64))
-
-
-def _tree_edge_arrays(tree: BfsTree) -> tuple[np.ndarray, np.ndarray]:
-    """Cached ``(non_root_nodes, their_parents)`` arrays for edge staging."""
-    cached = getattr(tree, "_tree_edges", None)
-    if cached is None:
-        nodes = np.arange(tree.n, dtype=np.int64)
-        nodes = nodes[nodes != tree.root]
-        parents = np.asarray(tree.parent, dtype=np.int64)[nodes]
-        cached = (nodes, parents)
-        tree._tree_edges = cached  # type: ignore[attr-defined]
-    return cached
-
-
-def stage_tree_funnel(network: Network, tree: BfsTree, *, messages: int, congestion: int) -> None:
-    """Attribute a pipelined tree sweep's whole charge to the root funnel edge.
-
-    The synthetic ``charge(height + k, messages=2k, congestion=k)`` charges
-    (REPORT convergecast, slot recovery, walk regeneration) model ``k``
-    tokens pipelined up — and answers back down — the BFS tree; the busiest
-    link is the one into the root, so the cartography books the entire
-    charge on the first root-child edge.  A degenerate tree with no
-    children leaves the charge unstaged (sink residual).
-    """
-    if network.heatmap is None or messages <= 0:
-        return
-    children = tree.children[tree.root]
-    if not children:
-        return
-    network._stage_pairs(
-        np.array([children[0]], dtype=np.int64),
-        np.array([tree.root], dtype=np.int64),
-        np.array([messages], dtype=np.int64),
-        np.array([congestion], dtype=np.int64),
-    )
+    depth = tree.depth
+    closure: set[int] = set()
+    for node in nodes:
+        if depth[node] < 0:
+            continue  # cut off by a crash: no tree path to report along
+        for hop in tree.path_to_root(node):
+            if hop in closure:
+                break
+            closure.add(hop)
+    closure.discard(tree.root)
+    return closure
 
 
 @charged_fast_path(
@@ -314,8 +280,7 @@ def build_bfs_tree(
     if cache is not None and root in cache:
         tree = cache[root]
         if tree.build_rounds or tree.build_messages:
-            _stage_flood(network, tree)
-            network.ledger.charge(tree.build_rounds, messages=tree.build_messages, congestion=1)
+            network.charge(tree.build_rounds, FloodLoad(network, tree))
         return tree
     if use_protocol:
         proto = BfsFloodProtocol(root)
@@ -341,10 +306,10 @@ def build_bfs_tree(
             children=children,
             build_rounds=rounds,
             build_messages=messages,
+            unreached=int(np.count_nonzero(depth < 0)),
         )
         if rounds:
-            _stage_flood(network, tree)
-            network.ledger.charge(rounds, messages=messages, congestion=1)
+            network.charge(rounds, FloodLoad(network, tree))
     if cache is not None:
         cache[root] = tree
     return tree
@@ -452,37 +417,13 @@ def charged_convergecast(
             continue
         acc[tree.parent[node]] = combine(acc[tree.parent[node]], acc[node])
 
-    if participants is None:
-        n_messages = tree.n - 1
-        reporters: set[int] | None = None
-    else:
-        closure: set[int] = set()
-        for node in participants:
-            for hop in tree.path_to_root(node):
-                if hop in closure:
-                    break
-                closure.add(hop)
-        closure.discard(tree.root)
-        n_messages = len(closure)
-        reporters = closure
-    if network.heatmap is not None and n_messages:
-        if reporters is None:
-            nodes, parents = _tree_edge_arrays(tree)
-        else:
-            nodes = np.array(sorted(reporters), dtype=np.int64)
-            parents = np.asarray(tree.parent, dtype=np.int64)[nodes]
-        ones = np.ones(nodes.size, dtype=np.int64)
-        network._stage_pairs(nodes, parents, ones, ones)
-    network.ledger.charge(tree.height, messages=n_messages, congestion=1)
+    up = EVERY if participants is None else ancestor_closure(tree, participants)
+    network.charge(tree.height, TreeSweep(network, tree, up=[(up, 1)]))
     return acc[tree.root]
 
 
 def charged_broadcast(network: Network, tree: BfsTree, *, words: int = 1) -> None:
-    """Fast-path broadcast cost: ``height`` rounds, ``n − 1`` messages."""
+    """Fast-path broadcast cost: ``height`` rounds, one message per tree edge."""
     if words > network.max_words:
         raise ProtocolError(f"broadcast payload of {words} words exceeds cap")
-    if network.heatmap is not None and tree.n > 1:
-        nodes, parents = _tree_edge_arrays(tree)
-        ones = np.ones(nodes.size, dtype=np.int64)
-        network._stage_pairs(parents, nodes, ones, ones)
-    network.ledger.charge(tree.height, messages=tree.n - 1, congestion=1)
+    network.charge(tree.height, TreeSweep(network, tree, down=[(EVERY, 1)]))

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.congest.load import EVERY, TreeSweep
 from repro.congest.network import Network
 from repro.congest.phases import (
     BATCH_SAMPLE,
@@ -48,12 +49,7 @@ from repro.congest.phases import (
     SERVE_RECOVERY,
     STITCH_ROUTE,
 )
-from repro.congest.primitives import (
-    BfsTree,
-    _tree_edge_arrays,
-    build_bfs_tree,
-    stage_tree_funnel,
-)
+from repro.congest.primitives import BfsTree, ancestor_closure, build_bfs_tree
 from repro.engine.model import EngineStats, WalkRequest
 from repro.engine.pool import MaintenanceReport, PoolManager
 from repro.errors import WalkError
@@ -345,10 +341,10 @@ class WalkEngine:
         :class:`~repro.obs.slo.SloMonitor`), installs it as the session
         ledger's observer, and exposes it as ``engine.obs`` — the
         scheduler, fault, and churn layers all report context and events
-        through it.  A heatmap sink is additionally bound to the network's
-        charge path so deliver/charge call sites stage per-edge
-        attribution for it (congestion cartography); churn and crash
-        remaps are forwarded to it so accumulators survive slot renames.
+        through it.  A heatmap sink is additionally bound to the graph's
+        directed slots; it reads each charge's per-edge load from the
+        probe (congestion cartography), and churn and crash remaps are
+        forwarded to it so accumulators survive slot renames.
         Passing no sinks installs an *inert* probe: every hook fires and
         early-returns, which is exactly the "disabled" configuration the
         ``obs_overhead`` bench prices.  Engines that never call this keep
@@ -363,7 +359,6 @@ class WalkEngine:
         probe = Probe(tracer=tracer, metrics=metrics, heatmap=heatmap, slo=slo)
         self.obs = probe
         self.network.ledger.observer = probe
-        self.network.heatmap = heatmap
         if heatmap is not None:
             graph = self.graph
             heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
@@ -822,9 +817,7 @@ class WalkEngine:
                 rp = pool.record_paths if pool is not None else self._default_record_paths
             positions_list = self.graph.walk(source, length, self.rng)
             with net.phase(NAIVE):
-                net.deliver_sequential(
-                    length, path=positions_list if net.heatmap is not None else None
-                )
+                net.deliver_sequential(positions_list)
             served = _SingleServed(
                 destination=positions_list[-1],
                 mode="naive",
@@ -846,14 +839,7 @@ class WalkEngine:
 
         if request.report_to_source:
             with net.phase(REPORT):
-                net.deliver_sequential(
-                    source_tree.depth[served.destination],
-                    path=(
-                        source_tree.path_to_root(served.destination)
-                        if net.heatmap is not None
-                        else None
-                    ),
-                )
+                net.deliver_sequential(source_tree.path_to_root(served.destination))
 
         if pool is not None and served.mode == "stitched":
             # Only queries actually served from tokens count against the
@@ -907,8 +893,7 @@ class WalkEngine:
         rounds = tree.height + k_total - (0 if len(ks) == 1 else 1)
         net = self.network
         with net.phase(phase):
-            stage_tree_funnel(net, tree, messages=2 * k_total, congestion=k_total)
-            net.ledger.charge(rounds, messages=2 * k_total, congestion=k_total)
+            net.charge(rounds, TreeSweep.funnel(net, tree, k_total))
 
     def _serve_pooled_many(self, request: WalkRequest) -> ManyWalksResult:
         sources, length = list(request.sources), request.length
@@ -1195,52 +1180,23 @@ class WalkEngine:
                     cache=self._tree_cache,
                     allow_unreached=self._faults is not None,
                 )
-                # Convergecast messages: per draw, the ancestor closure of
-                # the connector's holder set (what charged_convergecast
-                # bills), streamed as pipelined stages on the shared tree.
-                cc_messages = 0
-                cc_nodes: list[int] | None = [] if net.heatmap is not None else None
-                cc_counts: list[int] = []
-                for c, walks in groups.items():
-                    closure: set[int] = set()
-                    for holder in store.holders_for_source(c):
-                        for hop in base_tree.path_to_root(holder):
-                            if hop in closure:
-                                break
-                            closure.add(hop)
-                    closure.discard(root)
-                    cc_messages += len(closure) * len(walks)
-                    if cc_nodes is not None and closure:
-                        cc_nodes.extend(sorted(closure))
-                        cc_counts.extend([len(walks)] * len(closure))
-                if cc_nodes:
-                    nodes = np.array(cc_nodes, dtype=np.int64)
-                    parents = np.asarray(base_tree.parent, dtype=np.int64)[nodes]
-                    net._stage_pairs(
-                        nodes,
-                        parents,
-                        np.array(cc_counts, dtype=np.int64),
-                        np.ones(nodes.size, dtype=np.int64),
-                    )
-                net.ledger.charge(height + n_draws - 1, messages=cc_messages, congestion=1)
+                # Convergecast: per draw, the ancestor closure of the
+                # connector's holder set (what charged_convergecast bills),
+                # streamed as pipelined stages on the shared tree.
+                closures = [
+                    (ancestor_closure(base_tree, store.holders_for_source(c)), len(walks))
+                    for c, walks in groups.items()
+                ]
+                net.charge(height + n_draws - 1, TreeSweep(net, base_tree, up=closures))
                 # Delete directives: one broadcast per draw, pipelined.
-                if net.heatmap is not None and base_tree.n > 1:
-                    t_nodes, t_parents = _tree_edge_arrays(base_tree)
-                    net._stage_pairs(
-                        t_parents,
-                        t_nodes,
-                        np.full(t_nodes.size, n_draws, dtype=np.int64),
-                        np.ones(t_nodes.size, dtype=np.int64),
-                    )
-                net.ledger.charge(
-                    height + n_draws - 1, messages=n_draws * (base_tree.n - 1), congestion=1
+                net.charge(
+                    height + n_draws - 1, TreeSweep(net, base_tree, down=[(EVERY, n_draws)])
                 )
 
             # Draw without replacement and advance every active walk.
             hops: list[int] = []
-            route_pairs: list[tuple[int, int]] | None = (
-                [] if net.heatmap is not None else None
-            )
+            connectors: list[int] = []
+            destinations: list[int] = []
             for c, walks in groups.items():
                 for i in walks:
                     record = store.sample_uniform_token(c, self.rng)
@@ -1257,28 +1213,16 @@ class WalkEngine:
                     slot.completed += record.length
                     slot.current = record.destination
                     hops.append(depth[c] + depth[record.destination])
-                    if route_pairs is not None:
-                        up = base_tree.path_to_root(c)
-                        route_pairs.extend(zip(up[:-1], up[1:]))
-                        down = base_tree.path_to_root(record.destination)
-                        route_pairs.extend(zip(down[1:], down[:-1]))
+                    connectors.append(c)
+                    destinations.append(record.destination)
 
             # Route all stitched tokens concurrently: connector → root →
             # destination along shared-tree edges, pipelined.
             with net.phase(route_phase):
-                if route_pairs:
-                    arr = np.array(route_pairs, dtype=np.int64)
-                    keys = arr[:, 0] * self.graph.n + arr[:, 1]
-                    pair_keys, pair_counts = np.unique(keys, return_counts=True)
-                    net._stage_pairs(
-                        pair_keys // self.graph.n,
-                        pair_keys % self.graph.n,
-                        pair_counts,
-                        np.ones(pair_keys.size, dtype=np.int64),
-                    )
-                net.ledger.charge(
-                    max(hops) + n_draws - 1, messages=sum(hops), congestion=1
+                routes = TreeSweep(
+                    net, base_tree, up=[(connectors, 1)], down=[(destinations, 1)], paths=True
                 )
+                net.charge(max(hops) + n_draws - 1, routes)
         return total_gmw
 
     def _recover_slots(
@@ -1357,8 +1301,7 @@ class WalkEngine:
                 slot.current = slot.source
                 faults.walks_restarted += 1
         if touched:
-            stage_tree_funnel(net, tree, messages=2 * touched, congestion=touched)
-            net.ledger.charge(tree_height + touched, messages=2 * touched, congestion=touched)
+            net.charge(tree_height + touched, TreeSweep.funnel(net, tree, touched))
             replay_segments(net, prefixes, words=2)
 
     # ------------------------------------------------------------------

@@ -190,7 +190,7 @@ class FaultController:
         wait = min(1 << min(self._backoff_level, 8), gap)
         self._backoff_level += 1
         with net.phase(RECOVERY_PHASE):
-            net.ledger.charge(wait)
+            net.charge(wait)
         self.backoff_waits += 1
         self.backoff_wait_rounds += wait
         return wait

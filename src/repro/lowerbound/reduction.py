@@ -11,9 +11,10 @@ The raw weights overflow any machine representation almost immediately
 (``(2n)^{2i}`` at ``i ≈ 50`` already exceeds float64 for n=1000), but a
 walk only ever needs *local weight ratios*, which have a closed form
 (:meth:`~repro.graphs.lower_bound.LowerBoundInstance.forward_probability`).
-:func:`weighted_walk` samples from those exact per-node laws — this is the
-DESIGN.md substitution for the paper's unbounded multigraph: transition
-probabilities are preserved exactly, only the representation changes.
+:func:`weighted_walk` samples from those exact per-node laws in place of
+the paper's unbounded multigraph (Section 3.2 of arXiv:0911.3195):
+transition probabilities are preserved exactly, only the representation
+changes.
 """
 
 from __future__ import annotations

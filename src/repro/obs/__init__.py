@@ -24,9 +24,9 @@ The observer is strictly passive: it never charges the ledger and never
 touches an RNG (enforced statically by the ``obs-passivity`` analyzer
 rule), so golden ledgers and sampled walks stay bit-identical with
 every sink attached.  The heatmap additionally satisfies an exact
-conservation identity — per phase, located + retired + residual equals
-the ledger's charged messages, and no per-edge congestion maximum
-exceeds the ledger's.  Wall-clock access for overhead benches lives
+conservation identity — each charge carries its per-edge load, so per
+phase, located + retired equals the ledger's charged messages, and the
+per-edge congestion maxima reproduce the ledger's.  Wall-clock access for overhead benches lives
 behind the audited wrapper in :mod:`repro.obs.clock`.
 """
 

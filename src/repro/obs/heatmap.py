@@ -3,30 +3,25 @@
 The CONGEST model the paper charges against is fundamentally *per-edge* —
 bandwidth is constrained on every link — yet the :class:`RoundLedger`
 collapses a whole execution into one global ``max_congestion`` scalar.
-A :class:`HeatmapSink` recovers the map: every charge site (the
-``deliver_*`` family, the charged BFS/convergecast/broadcast fast paths,
-the engine's pipelined sweeps) *stages* the per-edge message counts it is
-about to bill immediately before calling ``ledger.charge``, and the
-:class:`~repro.obs.probe.Probe` settles the staged batch into columnar
-per-phase accumulators when the ledger's ``charged`` notification fires.
+A :class:`HeatmapSink` recovers the map.  Every charge carries its
+per-edge load (a :mod:`repro.congest.load` value whose totals *are* the
+charge's messages and congestion), and the
+:class:`~repro.obs.probe.Probe` hands that load to :meth:`settle_charge`
+from the ledger's ``charged`` notification; the sink lists it and adds it
+into columnar per-phase accumulators.
 
-The settlement protocol makes the conservation identity hold by
-construction: for every phase,
+The ledger and the sink read one value, so the conservation identity
+holds by construction: for every phase,
 
-    Σ per-edge attributed + retired + residual == ledger ``messages``
+    Σ per-edge located + retired == ledger ``messages``
 
-where *retired* is history that belonged to churn-deleted edge slots and
-*residual* is whatever a charge site did not locate onto edges.  On the
-covered workloads (every golden one-shot case and the serving tier) the
-residual is exactly zero — pinned by ``tests/test_obs_heatmap.py`` —
-and the per-edge congestion maxima reproduce ``max_congestion`` exactly.
+where *retired* is history that belonged to churn-deleted edge slots.
+:meth:`residual_messages` reports whatever the two sides miss — always
+zero, and pinned so by ``tests/test_obs_heatmap.py`` — and the per-edge
+congestion maxima reproduce ``max_congestion`` exactly.
 
 Strictly passive: the sink never charges the ledger, never draws from an
-RNG, and never reads wall-clock.  Attribution is *emitted* only from
-charge/deliver call sites and *consumed* only by the probe — enforced
-statically by the ``obs-passivity`` analyzer rule (``stage_edges`` /
-``stage_counts`` may not be called anywhere under ``obs/``;
-``settle_charge`` only from ``probe.py``).
+RNG, and never reads wall-clock (the ``obs-passivity`` analyzer rule).
 
 Edge identity is the directed CSR slot (the ledger's congestion unit).
 Across a churn event the accounting survives via :meth:`apply_remap`,
@@ -54,10 +49,10 @@ class HeatmapSink:
     """Columnar per-edge message attribution keyed by directed CSR slot.
 
     Lifecycle: :meth:`bind_topology` once at attach (done by
-    ``WalkEngine.attach_observability``), then charge sites call
-    :meth:`stage_edges` immediately before ``ledger.charge`` and the probe
-    calls :meth:`settle_charge` from the ledger's ``charged`` hook.  On a
-    churn/fault topology event :meth:`apply_remap` re-keys the columns.
+    ``WalkEngine.attach_observability``), then the probe calls
+    :meth:`settle_charge` with every charge's load from the ledger's
+    ``charged`` hook.  On a churn/fault topology event :meth:`apply_remap`
+    re-keys the columns.
     """
 
     __slots__ = (
@@ -69,12 +64,10 @@ class HeatmapSink:
         "rounds_total",
         "messages_total",
         "remaps",
-        "_staged",
-        "_staged_counts",
         "_phase_messages",
+        "_phase_charged",
         "_phase_rounds",
         "_slot_cmax",
-        "_residual",
         "_retired",
         "_retired_cmax",
         "_tenant_messages",
@@ -82,7 +75,6 @@ class HeatmapSink:
         "_samples",
         "_sample_cap",
         "_sample_stride",
-        "_settles",
     )
 
     def __init__(self, *, sample_cap: int = DEFAULT_SAMPLE_CAP) -> None:
@@ -96,12 +88,10 @@ class HeatmapSink:
         self.rounds_total = 0
         self.messages_total = 0
         self.remaps = 0
-        self._staged: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._staged_counts: list[tuple[np.ndarray, int, int]] = []
         self._phase_messages: dict[str, np.ndarray] = {}
+        self._phase_charged: dict[str, int] = {}
         self._phase_rounds: dict[str, int] = {}
         self._slot_cmax: np.ndarray | None = None
-        self._residual: dict[str, int] = {}
         self._retired: dict[str, int] = {}
         self._retired_cmax = 0
         self._tenant_messages: dict[str, int] = {}
@@ -109,15 +99,10 @@ class HeatmapSink:
         self._samples: list[tuple[int, int, int]] = []
         self._sample_cap = sample_cap
         self._sample_stride = 1
-        self._settles = 0
 
     # ------------------------------------------------------------------
     # Topology binding
     # ------------------------------------------------------------------
-    @property
-    def bound(self) -> bool:
-        return self.edge_src is not None
-
     def bind_topology(self, n: int, edge_src: np.ndarray, edge_dst: np.ndarray) -> None:
         """(Re)bind the directed-slot identity arrays.
 
@@ -141,113 +126,48 @@ class HeatmapSink:
             self._slot_cmax = np.zeros(self.n_slots, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # The staging/settlement protocol (hot path)
+    # Settlement (hot path)
     # ------------------------------------------------------------------
-    def stage_edges(self, slots, messages=None, congestion=None) -> None:
-        """Stage per-edge message counts for the imminent ``charge`` call.
+    def settle_charge(self, phase: str, rounds: int, load, tenant: str | None = None) -> None:
+        """Add one charge's per-edge ``load`` under ``phase``.
 
-        ``slots`` are directed CSR slot ids; ``messages`` parallels it
-        (scalar broadcast allowed; default 1 per slot) and ``congestion``
-        defaults to ``messages`` — the per-edge load of this charge.
-        Called only from charge/deliver call sites, never from ``obs/``.
+        Called by the probe from the ledger's ``charged`` notification
+        with the :class:`~repro.congest.load.EdgeLoad` the ledger billed.
+        A load with unit congestion skips the per-slot maximum: it can only
+        lift a touched slot to 1, which the message column already proves
+        (see :meth:`_cmax_floor`).
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size == 0:
-            return
-        if messages is None:
-            messages = np.ones(slots.size, dtype=np.int64)
-        elif np.isscalar(messages):
-            messages = np.full(slots.size, messages, dtype=np.int64)
-        else:
-            messages = np.asarray(messages, dtype=np.int64)
-        if congestion is None:
-            congestion = messages
-        elif np.isscalar(congestion):
-            congestion = np.full(slots.size, congestion, dtype=np.int64)
-        else:
-            congestion = np.asarray(congestion, dtype=np.int64)
-        self._staged.append((slots, messages, congestion))
-
-    def stage_counts(
-        self,
-        counts: np.ndarray,
-        total: int | None = None,
-        congestion: int | None = None,
-    ) -> None:
-        """Stage a dense per-slot message vector (a prefix of the slot space).
-
-        ``counts[s]`` is both the message count and the per-edge load
-        crossing slot ``s`` in the imminent charge; ``total`` and
-        ``congestion`` optionally carry ``counts.sum()`` / ``counts.max()``
-        when the call site already computed them.  This is the zero-copy
-        fast path for ``deliver_step``, whose per-slot ``bincount`` *is*
-        this vector — settlement adds it column-wise instead of scattering
-        through ``ufunc.at``, and a congestion-1 batch skips the per-slot
-        maximum entirely (a unit load only lifts touched slots to 1, which
-        the message column already proves — see ``_cmax_floor``).  Same
-        contract as :meth:`stage_edges`: call sites only, never from
-        ``obs/``.
-        """
-        if counts.size:
-            self._staged_counts.append(
-                (
-                    counts,
-                    int(counts.sum()) if total is None else total,
-                    int(counts.max()) if congestion is None else congestion,
-                )
-            )
-
-    def settle_charge(
-        self,
-        phase: str,
-        rounds: int,
-        messages: int,
-        congestion: int,
-        tenant: str | None = None,
-    ) -> None:
-        """Consume staged batches under ``phase``; book the rest as residual.
-
-        Called by the probe from the ledger's ``charged`` notification —
-        the one place staged attribution meets the authoritative charge.
-        """
-        located = 0
-        staged = self._staged
-        dense = self._staged_counts
-        if staged or dense:
+        messages = load.messages
+        if messages:
             col = self._phase_messages.get(phase)
             if col is None:
                 col = np.zeros(self.n_slots, dtype=np.int64)
                 self._phase_messages[phase] = col
+            slots, msgs, cong = load.edges()
             cmax = self._slot_cmax
-            for counts, total, load in dense:
-                m = counts.size
-                col[:m] += counts
-                if load > 1:
-                    np.maximum(cmax[:m], counts, out=cmax[:m])
-                located += total
-            dense.clear()
-            for slots, msgs, cong in staged:
+            if slots is None:
+                m = msgs.size
+                col[:m] += msgs
+                if load.congestion > 1:
+                    np.maximum(cmax[:m], cong, out=cmax[:m])
+            else:
                 np.add.at(col, slots, msgs)
-                np.maximum.at(cmax, slots, cong)
-                located += int(msgs.sum())
-            staged.clear()
-        self.charges += 1
+                if load.congestion > 1:
+                    np.maximum.at(cmax, slots, cong)
+            self._phase_charged[phase] = self._phase_charged.get(phase, 0) + messages
         self.rounds_total += rounds
         self.messages_total += messages
         self._phase_rounds[phase] = self._phase_rounds.get(phase, 0) + rounds
-        leftover = messages - located
-        if leftover:
-            self._residual[phase] = self._residual.get(phase, 0) + leftover
         if tenant is not None:
             self._tenant_messages[tenant] = self._tenant_messages.get(tenant, 0) + messages
             self._tenant_rounds[tenant] = self._tenant_rounds.get(tenant, 0) + rounds
-        if self._settles % self._sample_stride == 0:
+        if self.charges % self._sample_stride == 0:
             samples = self._samples
-            samples.append((self.rounds_total, self.messages_total, congestion))
+            samples.append((self.rounds_total, self.messages_total, load.congestion))
             if len(samples) >= self._sample_cap:
                 del samples[::2]
                 self._sample_stride *= 2
-        self._settles += 1
+        self.charges += 1
 
     # ------------------------------------------------------------------
     # Churn survival
@@ -296,10 +216,19 @@ class HeatmapSink:
             return int(col.sum()) if col is not None else 0
         return sum(int(col.sum()) for col in self._phase_messages.values())
 
-    def residual_messages(self, phase: str | None = None) -> int:
+    def charged_messages(self, phase: str | None = None) -> int:
+        """Σ messages of the settled charges (the ledger's side)."""
         if phase is not None:
-            return self._residual.get(phase, 0)
-        return sum(self._residual.values())
+            return self._phase_charged.get(phase, 0)
+        return sum(self._phase_charged.values())
+
+    def residual_messages(self, phase: str | None = None) -> int:
+        """Charged − located − retired: messages no edge accounts for (0)."""
+        return (
+            self.charged_messages(phase)
+            - self.located_messages(phase)
+            - self.retired_messages(phase)
+        )
 
     def retired_messages(self, phase: str | None = None) -> int:
         if phase is not None:
@@ -307,15 +236,11 @@ class HeatmapSink:
         return sum(self._retired.values())
 
     def attributed_messages(self, phase: str | None = None) -> int:
-        """Located + retired + residual — equals ledger ``messages`` exactly."""
-        return (
-            self.located_messages(phase)
-            + self.retired_messages(phase)
-            + self.residual_messages(phase)
-        )
+        """Located + retired — equals ledger ``messages`` exactly."""
+        return self.located_messages(phase) + self.retired_messages(phase)
 
     def max_edge_congestion(self) -> int:
-        """Max per-edge congestion ever staged (retired slots included)."""
+        """Max per-edge congestion ever settled (retired slots included)."""
         live = 0
         if self._slot_cmax is not None and self.n_slots:
             live = int(self._slot_cmax.max())
@@ -408,10 +333,7 @@ class HeatmapSink:
 
     def phase_table(self) -> dict[str, dict]:
         """Per-phase breakdown: located/retired/residual/rounds/utilization."""
-        phases = (
-            set(self._phase_messages) | set(self._phase_rounds)
-            | set(self._residual) | set(self._retired)
-        )
+        phases = set(self._phase_messages) | set(self._phase_rounds) | set(self._retired)
         table = {}
         for phase in sorted(phases):
             rounds = self._phase_rounds.get(phase, 0)

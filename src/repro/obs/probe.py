@@ -146,15 +146,14 @@ class Probe:
             if gauge is not None:
                 gauge.set(tracer.dropped)
 
-    def charged(self, phase: str, rounds: int, messages: int, congestion: int) -> None:
+    def charged(self, phase: str, rounds: int, load) -> None:
+        messages, congestion = load.messages, load.congestion
         tracer = self.tracer
         if tracer is not None:
             tracer.charged(rounds, messages, congestion)
         heatmap = self.heatmap
         if heatmap is not None:
-            heatmap.settle_charge(
-                phase, rounds, messages, congestion, tenant=self._merged.get("tenant")
-            )
+            heatmap.settle_charge(phase, rounds, load, tenant=self._merged.get("tenant"))
         counter = self._rounds_total
         if counter is not None:
             counter.inc(rounds, phase=phase)

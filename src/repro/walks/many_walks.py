@@ -25,9 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.congest.load import TreeSweep
 from repro.congest.network import Network
 from repro.congest.phases import NAIVE_PARALLEL, NAIVE_TAIL, REPORT
-from repro.congest.primitives import BfsTree, stage_tree_funnel
+from repro.congest.primitives import BfsTree
 from repro.engine.model import ResultBase
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
@@ -190,8 +191,7 @@ def _run_many_walks(
             # Destinations route their IDs to sources over the BFS tree; up
             # to k messages may funnel through one tree edge, pipelined.
             with net.phase(REPORT):
-                stage_tree_funnel(net, base_tree, messages=2 * k, congestion=k)
-                net.ledger.charge(base_tree.height + k, messages=2 * k, congestion=k)
+                net.charge(base_tree.height + k, TreeSweep.funnel(net, base_tree, k))
         return ManyWalksResult(
             sources=list(sources),
             length=length,
@@ -255,14 +255,7 @@ def _run_many_walks(
     if report_to_source:
         with net.phase(REPORT):
             for destination in destinations:
-                net.deliver_sequential(
-                    base_tree.depth[destination],
-                    path=(
-                        base_tree.path_to_root(destination)
-                        if net.heatmap is not None
-                        else None
-                    ),
-                )
+                net.deliver_sequential(base_tree.path_to_root(destination))
 
     return ManyWalksResult(
         sources=list(sources),

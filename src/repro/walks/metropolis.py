@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.congest.load import SlotLoad
 from repro.congest.network import Network
 from repro.congest.phases import MH_SETUP, MH_WALK
 from repro.errors import WalkError
@@ -99,12 +100,13 @@ def _run_metropolis_walk(
 
     with net.phase(MH_SETUP):
         # Every node tells each neighbor (degree, pi); full-edge congestion 1.
-        net.ledger.charge(1, messages=graph.n_slots, congestion=1)
+        net.charge(1, SlotLoad(np.ones(graph.n_slots, dtype=np.int64)))
 
     positions = metropolis_walk(graph, source, length, rng, target)
-    moves = sum(1 for a, b in zip(positions[:-1], positions[1:]) if a != b)
+    # Rejected proposals stay put and cost nothing: only moves travel.
+    moved = positions[:1] + [b for a, b in zip(positions[:-1], positions[1:]) if a != b]
     with net.phase(MH_WALK):
-        net.deliver_sequential(moves, messages_per_hop=1)
+        net.deliver_sequential(moved)
 
     return WalkResult(
         source=source,

@@ -95,7 +95,7 @@ def _run_podc09_walk(
 
     if report_to_source:
         with net.phase(REPORT):
-            net.deliver_sequential(source_tree.depth[destination])
+            net.deliver_sequential(source_tree.path_to_root(destination))
 
     return WalkResult(
         source=source,

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.congest.load import TreeSweep
 from repro.congest.network import Network
 from repro.congest.phases import REGENERATE
-from repro.congest.primitives import BfsTree, build_bfs_tree, stage_tree_funnel
+from repro.congest.primitives import BfsTree, build_bfs_tree
 from repro.errors import WalkError
 from repro.walks.single_walk import WalkResult
 
@@ -137,8 +138,7 @@ def regenerate_walk(
         # Step 1: source tells each connector its segment's start offset.
         tree = build_bfs_tree(network, result.source, cache=tree_cache)
         k = len(result.segments)
-        stage_tree_funnel(network, tree, messages=2 * k, congestion=k)
-        network.ledger.charge(tree.height + k, messages=2 * k, congestion=k)
+        network.charge(tree.height + k, TreeSweep.funnel(network, tree, k))
 
         # Step 2: replay all used segments simultaneously; iteration j
         # forwards one message along hop j of every segment longer than j.

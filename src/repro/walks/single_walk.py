@@ -184,14 +184,7 @@ def stitch_walk(
             if record is None:
                 raise WalkError("GET-MORE-WALKS produced no walks (engine bug)")
         with network.phase(STITCH_ROUTE):
-            network.deliver_sequential(
-                tree.depth[record.destination],
-                path=(
-                    list(reversed(tree.path_to_root(record.destination)))
-                    if network.heatmap is not None
-                    else None
-                ),
-            )
+            network.deliver_sequential(tree.path_to_root(record.destination)[::-1])
         segments.append(record)
         if record_paths:
             if record.path is None:
@@ -204,9 +197,7 @@ def stitch_walk(
     if remaining > 0 and not defer_tail:
         tail = network.graph.walk(current, remaining, rng)
         with network.phase(NAIVE_TAIL):
-            network.deliver_sequential(
-                remaining, path=tail if network.heatmap is not None else None
-            )
+            network.deliver_sequential(tail)
         current = tail[-1]
         if record_paths:
             chunks.append(np.asarray(tail[1:], dtype=np.int64))
@@ -257,20 +248,11 @@ def _run_single_walk(
     if params.use_naive:
         positions_list = graph.walk(source, length, rng)
         with net.phase(NAIVE):
-            net.deliver_sequential(
-                length, path=positions_list if net.heatmap is not None else None
-            )
+            net.deliver_sequential(positions_list)
         destination = positions_list[-1]
         if report_to_source:
             with net.phase(REPORT):
-                net.deliver_sequential(
-                    source_tree.depth[destination],
-                    path=(
-                        source_tree.path_to_root(destination)
-                        if net.heatmap is not None
-                        else None
-                    ),
-                )
+                net.deliver_sequential(source_tree.path_to_root(destination))
         return WalkResult(
             source=source,
             length=length,
@@ -312,14 +294,7 @@ def _run_single_walk(
 
     if report_to_source:
         with net.phase(REPORT):
-            net.deliver_sequential(
-                source_tree.depth[destination],
-                path=(
-                    source_tree.path_to_root(destination)
-                    if net.heatmap is not None
-                    else None
-                ),
-            )
+            net.deliver_sequential(source_tree.path_to_root(destination))
 
     return WalkResult(
         source=source,

@@ -138,19 +138,19 @@ class TestDeliverPairs:
 class TestDeliverSequential:
     def test_charges_hops(self):
         net = Network(path_graph(5))
-        assert net.deliver_sequential(7) == 7
+        assert net.deliver_sequential([0, 1, 2, 3, 4, 3, 2, 1]) == 7
         assert net.rounds == 7
         assert net.messages_sent == 7
 
     def test_zero_hops_free(self):
         net = Network(path_graph(5))
-        assert net.deliver_sequential(0) == 0
+        assert net.deliver_sequential([3]) == 0
         assert net.rounds == 0
 
     def test_negative_rejected(self):
         net = Network(path_graph(5))
         with pytest.raises(ProtocolError):
-            net.deliver_sequential(-1)
+            net.deliver_sequential([])
 
 
 class TestLedgerPhases:
@@ -187,7 +187,7 @@ class TestLedgerPhases:
         with net.phase("a"):
             net.deliver_step([0])
         with net.phase("b"):
-            net.deliver_sequential(3)
+            net.deliver_sequential([0, 1, 2, 3])
         total = sum(s.rounds for s in net.ledger.phases.values())
         assert total == net.rounds
 

@@ -7,10 +7,10 @@ The :class:`~repro.obs.heatmap.HeatmapSink` claims two hard guarantees:
   full serve session through churn + a crash/recover episode lands on
   the identical round/message totals;
 * **conservation** — for every ledger phase,
-  ``located + retired + residual == ledger messages`` exactly, the
-  residual is zero on every covered workload (all staging sites really
-  fire), and the per-edge congestion maxima reproduce the ledger's
-  ``max_congestion`` scalar.
+  ``located + retired == ledger messages`` exactly on every algorithm
+  (each charge carries its per-edge load, so the residual is zero by
+  construction), and the per-edge congestion maxima reproduce the
+  ledger's ``max_congestion`` scalar.
 
 Plus the churn-survival mechanics (slot remaps preserve history, deleted
 slots retire without losing a message) and the export surfaces
@@ -25,28 +25,73 @@ import numpy as np
 import pytest
 
 from repro import WalkEngine, random_regular_graph
+from repro.apps import estimate_mixing_time, power_iteration_mixing_time, random_spanning_tree
 from repro.congest import Network
+from repro.congest.load import SlotLoad
 from repro.dynamic import sample_churn_delta
 from repro.obs import HeatmapSink, Probe, SloMonitor, Tracer
-from repro.walks import single_random_walk
+from repro.walks import (
+    many_random_walks,
+    naive_metropolis_walk,
+    naive_random_walk,
+    podc09_random_walk,
+    single_random_walk,
+)
 
 from test_ledger_golden import GOLDEN_SINGLE, SINGLE_CASES, _snapshot
 from test_obs import run_session
 
 
-def golden_run_with_heatmap(name: str):
-    """One golden single-walk case with a live heatmap observer."""
-    factory, source, length, seed, kwargs = SINGLE_CASES[name]
-    graph = factory()
+def heatmapped_network(graph):
+    """A fresh network whose ledger feeds a bound heatmap sink."""
     net = Network(graph, seed=0)
     heatmap = HeatmapSink()
     heatmap.bind_topology(graph.n, graph.csr_source, graph.csr_target)
     probe = Probe(heatmap=heatmap)
     net.ledger.observer = probe
     probe.attached(net.ledger)
-    net.heatmap = heatmap
+    return net, heatmap
+
+
+def golden_run_with_heatmap(name: str):
+    """One golden single-walk case with a live heatmap observer."""
+    factory, source, length, seed, kwargs = SINGLE_CASES[name]
+    graph = factory()
+    net, heatmap = heatmapped_network(graph)
     result = single_random_walk(graph, source, length, seed=seed, network=net, **kwargs)
     return net, result, heatmap
+
+
+#: Every algorithm family, run on one small non-bipartite graph.
+ALGORITHMS = {
+    "naive": lambda g, net: naive_random_walk(
+        g, 0, 150, seed=5, report_to_source=True, network=net
+    ),
+    "podc09": lambda g, net: podc09_random_walk(g, 0, 400, seed=5, network=net),
+    "metropolis": lambda g, net: naive_metropolis_walk(
+        g, 0, 300, seed=5, target=np.arange(1.0, g.n + 1), network=net
+    ),
+    "many_random_walks": lambda g, net: many_random_walks(
+        g, [0, 7, 7, 30], 400, seed=5, network=net
+    ),
+    "many_random_walks_naive": lambda g, net: many_random_walks(
+        g, [0, 7, 30], 6, seed=5, network=net
+    ),
+    "mixing_time": lambda g, net: estimate_mixing_time(g, 0, seed=5, samples=64, network=net),
+    "power_iteration": lambda g, net: power_iteration_mixing_time(g, 0, network=net),
+    "spanning_tree": lambda g, net: random_spanning_tree(g, seed=5, network=net),
+}
+
+
+def assert_conserved(net, heatmap):
+    ledger = net.ledger
+    for phase, stats in ledger.phases.items():
+        assert heatmap.attributed_messages(phase) == stats.messages, phase
+        assert heatmap.residual_messages(phase) == 0, phase
+    assert heatmap.residual_messages() == 0
+    assert heatmap.messages_total == ledger.messages
+    assert heatmap.rounds_total == ledger.rounds
+    assert heatmap.max_edge_congestion() == ledger.max_congestion
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +131,25 @@ class TestPassivity:
 
 
 # ----------------------------------------------------------------------
-# Conservation: the staged attribution is the ledger, edge by edge
+# Conservation: each charge's load is the ledger, edge by edge
 # ----------------------------------------------------------------------
 class TestConservation:
     @pytest.mark.parametrize("name", sorted(SINGLE_CASES))
     def test_golden_cases_conserve_exactly_with_zero_residual(self, name):
         net, _, heatmap = golden_run_with_heatmap(name)
-        for phase, stats in net.ledger.phases.items():
-            assert heatmap.attributed_messages(phase) == stats.messages, phase
-            assert heatmap.residual_messages(phase) == 0, phase
-        assert heatmap.messages_total == net.ledger.messages
-        assert heatmap.rounds_total == net.ledger.rounds
-        assert heatmap.max_edge_congestion() == net.ledger.max_congestion
+        assert_conserved(net, heatmap)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_every_algorithm_conserves_exactly(self, name):
+        graph = random_regular_graph(48, 4, 3)
+        net, heatmap = heatmapped_network(graph)
+        ALGORITHMS[name](graph, net)
+        assert net.ledger.messages > 0
+        assert_conserved(net, heatmap)
+        # Passive: the observed run bills exactly what an unobserved one does.
+        bare = Network(graph, seed=0)
+        ALGORITHMS[name](graph, bare)
+        assert _snapshot(bare) == _snapshot(net)
 
     def test_serve_session_conserves_through_churn_and_crash(self, heatmapped_session):
         engine, _, _, heatmap = heatmapped_session
@@ -127,8 +179,7 @@ class TestRemap:
         sink = HeatmapSink()
         sink.bind_topology(graph.n, graph.csr_source, graph.csr_target)
         old_slots = sink.n_slots
-        sink.stage_edges(np.arange(old_slots), np.ones(old_slots, dtype=np.int64))
-        sink.settle_charge("phase1", 1, old_slots, 1)
+        sink.settle_charge("phase1", 1, SlotLoad(np.ones(old_slots, dtype=np.int64)))
         before = sink.attributed_messages("phase1")
         assert before == old_slots
 
@@ -195,9 +246,9 @@ class TestExports:
         # Phase table carries the conservation split per phase.
         for phase, cell in summary["phases"].items():
             assert (
-                cell["located"] + cell["retired"] + cell["residual"]
-                == heatmap.attributed_messages(phase)
+                cell["located"] + cell["retired"] == heatmap.attributed_messages(phase)
             )
+            assert cell["residual"] == 0
 
     def test_tenant_attribution_on_private_report_charges(self):
         from repro.serve import TenantRegistry

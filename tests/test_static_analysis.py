@@ -443,8 +443,8 @@ class TestObsPassivityRule:
 
     def test_true_negative_mutators_fine_outside_obs_and_passive_obs(self, tmp_path):
         engine_src = (
-            "def serve(ledger, store):\n"
-            '    ledger.charge("phase1", rounds=1, messages=0)\n'
+            "def serve(net, store):\n"
+            "    net.charge(1)\n"
             "    store.add_batch([1])\n"
         )
         report = self.run_at(
@@ -459,29 +459,29 @@ class TestObsPassivityRule:
         report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/obs/ok.py", obs_src)
         assert not report.findings
 
-    def test_true_positive_stage_edges_inside_obs(self, tmp_path):
+    def test_true_positive_ledger_charge_outside_network(self, tmp_path):
         src = (
-            "def hook(self, slots):\n"
-            "    self.stage_edges(slots)\n"
+            "def charge_report(net, k):\n"
+            "    net.ledger.charge(k)\n"
+            "    self.ledger.charge(k)\n"
         )
-        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/obs/heat.py", src)
-        assert len(report.findings) == 1
-        assert "stages heatmap attribution" in report.findings[0].message
-        # The charge path (outside obs/) is exactly who may stage.
+        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/walks/w.py", src)
+        assert len(report.findings) == 2
+        assert all("bypasses Network.charge" in f.message for f in report.findings)
+
+    def test_true_negative_ledger_charge_inside_network(self, tmp_path):
+        network_src = (
+            "class Network:\n"
+            "    def charge(self, rounds, load):\n"
+            "        self.ledger.charge(rounds, load)\n"
+        )
         report = self.run_at(
-            ObsPassivityRule(), tmp_path, "src/repro/congest/net2.py", src
+            ObsPassivityRule(), tmp_path, "src/repro/congest/network.py", network_src
         )
         assert not report.findings
-
-    def test_settle_charge_only_from_probe(self, tmp_path):
-        src = (
-            "def charged(self, phase, rounds, messages, congestion):\n"
-            "    self.heatmap.settle_charge(phase, rounds, messages, congestion)\n"
-        )
-        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/obs/other.py", src)
-        assert len(report.findings) == 1
-        assert "outside the probe" in report.findings[0].message
-        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/obs/probe.py", src)
+        # Everyone else charges through the network, which is clean.
+        caller_src = "def f(net, load):\n    net.charge(3, load)\n"
+        report = self.run_at(ObsPassivityRule(), tmp_path, "src/repro/apps/a.py", caller_src)
         assert not report.findings
 
     def test_outside_production_tree_is_ignored(self, tmp_path):
