@@ -7,6 +7,11 @@ the sampled walks themselves — must be **bit-identical** to the seed
 implementation at fixed seeds.  These totals were captured by running the
 seed (pre-optimization) code; any drift here means an optimization changed
 the model, not just the speed.
+
+The PODC'09 and pooled-engine goldens were captured later, from the
+separate one-shot and pooled serving bodies that predate the shared
+single-walk / k-walk bodies, so they pin that those bodies merged without
+moving a charge.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import Network
+from repro.engine import WalkEngine
 from repro.graphs import (
     barbell_graph,
     grid_graph,
@@ -21,7 +27,7 @@ from repro.graphs import (
     random_regular_graph,
     torus_graph,
 )
-from repro.walks import many_random_walks, single_random_walk
+from repro.walks import many_random_walks, podc09_random_walk, single_random_walk
 
 SINGLE_CASES = {
     "torus8x8-l256-s7": (lambda: torus_graph(8, 8), 0, 256, 7, {}),
@@ -321,6 +327,307 @@ GOLDEN_MANY = {
 }
 
 
+PODC09_CASES = {
+    "torus8x8-l300-s7": (lambda: torus_graph(8, 8), 0, 300, 7, {}),
+    # Fixed η=1 on a grid runs connectors dry: two GET-MORE-WALKS calls.
+    "grid6x6-l400-s2-eta1": (lambda: grid_graph(6, 6), 0, 400, 2, {"eta": 1.0}),
+}
+
+# Pooled queries on one engine (η=0.25 so the pool runs dry and refills):
+# the per-query result plus the session ledger after each query.
+POOLED_SINGLE_QUERIES = [(0, 256), (9, 256)]
+POOLED_MANY_QUERIES = [([0, 5, 17, 33], 512), ([1, 9, 40], 512)]
+
+GOLDEN_PODC09 = {
+    "torus8x8-l300-s7": {
+        "destination": 34,
+        "mode": "podc09",
+        "gmw": 0,
+        "rounds": 420,
+        "messages": 10122,
+        "max_congestion": 6,
+        "phase_rounds": {
+            "setup": 9,
+            "phase1": 187,
+            "sample-destination": 150,
+            "stitch-route": 26,
+            "naive-tail": 42,
+            "report": 6
+        },
+        "phase_messages": {
+            "setup": 193,
+            "phase1": 8256,
+            "sample-destination": 1599,
+            "stitch-route": 26,
+            "naive-tail": 42,
+            "report": 6
+        }
+    },
+    "grid6x6-l400-s2-eta1": {
+        "destination": 2,
+        "mode": "podc09",
+        "gmw": 2,
+        "rounds": 493,
+        "messages": 3215,
+        "max_congestion": 4,
+        "phase_rounds": {
+            "setup": 11,
+            "phase1": 126,
+            "sample-destination": 202,
+            "stitch-route": 22,
+            "get-more-walks": 108,
+            "naive-tail": 22,
+            "report": 2
+        },
+        "phase_messages": {
+            "setup": 85,
+            "phase1": 1944,
+            "sample-destination": 1032,
+            "stitch-route": 22,
+            "get-more-walks": 108,
+            "naive-tail": 22,
+            "report": 2
+        }
+    }
+}
+
+GOLDEN_POOLED_SINGLE = [
+    {
+        "destination": 0,
+        "mode": "stitched",
+        "gmw": 0,
+        "request_rounds": 305,
+        "request_phase_rounds": {
+            "setup": 9,
+            "phase1": 101,
+            "sample-destination": 125,
+            "stitch-route": 20,
+            "naive-tail": 50
+        },
+        "rounds": 305,
+        "messages": 4085,
+        "max_congestion": 3,
+        "phase_rounds": {
+            "setup": 9,
+            "phase1": 101,
+            "sample-destination": 125,
+            "stitch-route": 20,
+            "naive-tail": 50,
+            "report": 0
+        },
+        "phase_messages": {
+            "setup": 193,
+            "phase1": 2522,
+            "sample-destination": 1300,
+            "stitch-route": 20,
+            "naive-tail": 50,
+            "report": 0
+        }
+    },
+    {
+        "destination": 29,
+        "mode": "stitched",
+        "gmw": 1,
+        "request_rounds": 299,
+        "request_phase_rounds": {
+            "setup": 9,
+            "sample-destination": 167,
+            "stitch-route": 25,
+            "naive-tail": 43,
+            "report": 6,
+            "pool-refill": 49
+        },
+        "rounds": 604,
+        "messages": 6464,
+        "max_congestion": 3,
+        "phase_rounds": {
+            "setup": 18,
+            "phase1": 101,
+            "sample-destination": 292,
+            "stitch-route": 45,
+            "naive-tail": 93,
+            "report": 6,
+            "pool-refill": 49
+        },
+        "phase_messages": {
+            "setup": 386,
+            "phase1": 2522,
+            "sample-destination": 3075,
+            "stitch-route": 45,
+            "naive-tail": 93,
+            "report": 6,
+            "pool-refill": 337
+        }
+    }
+]
+
+GOLDEN_POOLED_MANY = {
+    "batch=None": [
+        {
+            "destinations": [
+                63,
+                39,
+                51,
+                3
+            ],
+            "mode": "batch-stitched",
+            "gmw": 1,
+            "request_rounds": 785,
+            "request_phase_rounds": {
+                "setup": 9,
+                "phase1": 329,
+                "batch-sample": 118,
+                "stitch-route": 44,
+                "pool-refill": 132,
+                "naive-tail": 141,
+                "report": 12
+            },
+            "rounds": 785,
+            "messages": 10611,
+            "max_congestion": 4,
+            "phase_rounds": {
+                "setup": 9,
+                "phase1": 329,
+                "batch-sample": 118,
+                "stitch-route": 44,
+                "pool-refill": 132,
+                "naive-tail": 141,
+                "report": 12
+            },
+            "phase_messages": {
+                "setup": 193,
+                "phase1": 7634,
+                "batch-sample": 1652,
+                "stitch-route": 100,
+                "pool-refill": 632,
+                "naive-tail": 392,
+                "report": 8
+            }
+        },
+        {
+            "destinations": [
+                49,
+                63,
+                3
+            ],
+            "mode": "batch-stitched",
+            "gmw": 3,
+            "request_rounds": 645,
+            "request_phase_rounds": {
+                "setup": 9,
+                "batch-sample": 114,
+                "stitch-route": 40,
+                "pool-refill": 323,
+                "naive-tail": 148,
+                "report": 11
+            },
+            "rounds": 1430,
+            "messages": 14732,
+            "max_congestion": 4,
+            "phase_rounds": {
+                "setup": 18,
+                "phase1": 329,
+                "batch-sample": 232,
+                "stitch-route": 84,
+                "pool-refill": 455,
+                "naive-tail": 289,
+                "report": 23
+            },
+            "phase_messages": {
+                "setup": 386,
+                "phase1": 7634,
+                "batch-sample": 3206,
+                "stitch-route": 166,
+                "pool-refill": 2588,
+                "naive-tail": 738,
+                "report": 14
+            }
+        }
+    ],
+    "batch=False": [
+        {
+            "destinations": [
+                13,
+                3,
+                55,
+                21
+            ],
+            "mode": "stitched",
+            "gmw": 1,
+            "request_rounds": 1020,
+            "request_phase_rounds": {
+                "setup": 9,
+                "phase1": 329,
+                "sample-destination": 342,
+                "stitch-route": 53,
+                "pool-refill": 132,
+                "naive-tail": 143,
+                "report": 12
+            },
+            "rounds": 1020,
+            "messages": 12496,
+            "max_congestion": 4,
+            "phase_rounds": {
+                "setup": 9,
+                "phase1": 329,
+                "sample-destination": 342,
+                "stitch-route": 53,
+                "pool-refill": 132,
+                "naive-tail": 143,
+                "report": 12
+            },
+            "phase_messages": {
+                "setup": 193,
+                "phase1": 7634,
+                "sample-destination": 3589,
+                "stitch-route": 53,
+                "pool-refill": 632,
+                "naive-tail": 387,
+                "report": 8
+            }
+        },
+        {
+            "destinations": [
+                1,
+                63,
+                19
+            ],
+            "mode": "stitched",
+            "gmw": 2,
+            "request_rounds": 816,
+            "request_phase_rounds": {
+                "setup": 9,
+                "sample-destination": 309,
+                "stitch-route": 44,
+                "pool-refill": 297,
+                "naive-tail": 146,
+                "report": 11
+            },
+            "rounds": 1836,
+            "messages": 17697,
+            "max_congestion": 4,
+            "phase_rounds": {
+                "setup": 18,
+                "phase1": 329,
+                "sample-destination": 651,
+                "stitch-route": 97,
+                "pool-refill": 429,
+                "naive-tail": 289,
+                "report": 23
+            },
+            "phase_messages": {
+                "setup": 386,
+                "phase1": 7634,
+                "sample-destination": 6862,
+                "stitch-route": 97,
+                "pool-refill": 2021,
+                "naive-tail": 683,
+                "report": 14
+            }
+        }
+    ]
+}
+
 
 def _snapshot(net: Network) -> dict:
     return {
@@ -364,3 +671,59 @@ class TestGoldenLedger:
             **_snapshot(net),
         }
         assert got == want
+
+    @pytest.mark.parametrize("name", sorted(PODC09_CASES))
+    def test_podc09_random_walk_matches_seed(self, name):
+        factory, source, length, seed, kwargs = PODC09_CASES[name]
+        graph = factory()
+        net = Network(graph, seed=0)
+        result = podc09_random_walk(graph, source, length, seed=seed, network=net, **kwargs)
+        got = {
+            "destination": int(result.destination),
+            "mode": result.mode,
+            "gmw": result.get_more_walks_calls,
+            **_snapshot(net),
+        }
+        assert got == GOLDEN_PODC09[name]
+
+
+def _pooled_engine():
+    graph = torus_graph(8, 8)
+    return WalkEngine(graph, seed=7, eta=0.25, network=Network(graph, seed=0))
+
+
+class TestGoldenPooledLedger:
+    def test_pooled_single_cold_then_warm(self):
+        engine = _pooled_engine()
+        got = []
+        for source, length in POOLED_SINGLE_QUERIES:
+            result = engine.walk(source, length)
+            got.append(
+                {
+                    "destination": int(result.destination),
+                    "mode": result.mode,
+                    "gmw": result.get_more_walks_calls,
+                    "request_rounds": result.rounds,
+                    "request_phase_rounds": result.phase_rounds,
+                    **_snapshot(engine.network),
+                }
+            )
+        assert got == GOLDEN_POOLED_SINGLE
+
+    @pytest.mark.parametrize("batch", [None, False], ids=["batch=None", "batch=False"])
+    def test_pooled_many_cold_then_warm(self, batch):
+        engine = _pooled_engine()
+        got = []
+        for sources, length in POOLED_MANY_QUERIES:
+            result = engine.walks(sources, length, batch=batch, record_paths=True)
+            got.append(
+                {
+                    "destinations": [int(d) for d in result.destinations],
+                    "mode": result.mode,
+                    "gmw": result.get_more_walks_calls,
+                    "request_rounds": result.rounds,
+                    "request_phase_rounds": result.phase_rounds,
+                    **_snapshot(engine.network),
+                }
+            )
+        assert got == GOLDEN_POOLED_MANY[f"batch={batch}"]
