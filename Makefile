@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint analyze slow claims bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs
+.PHONY: test lint analyze loc slow claims bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs
 
 test:
 	$(PY) -m pytest -x -q
@@ -23,6 +23,11 @@ lint: analyze
 		echo "ruff not installed — running the AST dead-import gate only"; \
 	fi
 	$(PY) -m pytest -q tests/test_lint.py
+
+# Code lines per package of src/repro (comments, docstrings and blank
+# lines excluded) — the net-LoC figure simplicity changes report.
+loc:
+	python scripts/loc.py
 
 slow:
 	$(PY) -m pytest -q -m slow tests benchmarks/bench_perf_hotpaths.py benchmarks/bench_engine_reuse.py

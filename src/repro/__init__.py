@@ -12,8 +12,8 @@ The recommended entry point is the session façade::
     tree = engine.spanning_tree(root=0)
     print(engine.stats())
 
-The legacy free functions (``single_random_walk`` & co.) remain available
-as thin wrappers over a one-shot engine.  Package tour (see README):
+The legacy free functions (``single_random_walk`` & co.) remain available;
+each serves one request from a single-use pool.  Package tour (see README):
 
 * :mod:`repro.engine`    — the ``WalkEngine`` session API and the unified
   request/result model

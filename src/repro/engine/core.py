@@ -27,15 +27,19 @@ engine makes the amortized shape the default:
   baseline selection (``algorithm="paper"|"naive"|"podc09"|"metropolis"``)
   behind the same façade.
 
-The legacy free functions (``single_random_walk`` & co.) are thin wrappers
-over a one-shot engine; their non-pooled execution path is byte-for-byte
-the pre-engine code, so the golden-ledger suite pins it to the seed
-implementation.
+A one-shot call (``pooled=False``, the free functions ``single_random_walk``
+& co., and ``algorithm="podc09"``) is the same request served from a
+*single-use* pool: Phase 1 at the request's resolved
+:class:`~repro.walks.params.WalkParams` into a fresh store, with no
+:class:`~repro.engine.pool.PoolManager`, no background maintenance, and
+refills billed to ``"get-more-walks"``.  One single-walk body and one
+k-walk body therefore serve every pooling mode, and PODC'09 is a
+parameter set, not a code path; the golden-ledger suite pins both modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +47,10 @@ from repro.congest.load import EVERY, TreeSweep
 from repro.congest.network import Network
 from repro.congest.phases import (
     BATCH_SAMPLE,
+    GET_MORE_WALKS,
     NAIVE,
+    NAIVE_PARALLEL,
+    NAIVE_TAIL,
     POOL_REFILL,
     REPORT,
     SERVE_RECOVERY,
@@ -58,24 +65,13 @@ from repro.obs.probe import Probe
 from repro.util.rng import make_rng
 from repro.util.contracts import charged_fast_path
 from repro.walks.get_more_walks import get_more_walks_batch
-from repro.walks.many_walks import (
-    ManyWalksResult,
-    _parallel_naive,
-    _parallel_tails,
-    _run_many_walks,
-)
+from repro.walks.many_walks import ManyWalksResult, _parallel_tails, _theorem_2_8_params
 from repro.walks.metropolis import _run_metropolis_walk
 from repro.walks.naive import _run_naive_walk
-from repro.walks.params import WalkParams, many_walks_params, single_walk_params
-from repro.walks.podc09 import _run_podc09_walk
+from repro.walks.params import WalkParams, many_walks_params, podc09_params, single_walk_params
 from repro.walks.regenerate import RegenerationResult, regenerate_walk, replay_segments
 from repro.walks.short_walks import perform_short_walks, token_counts
-from repro.walks.single_walk import (
-    WalkResult,
-    _run_single_walk,
-    estimate_diameter,
-    stitch_walk,
-)
+from repro.walks.single_walk import WalkResult, estimate_diameter, stitch_walk
 from repro.walks.store import WalkStore
 
 __all__ = ["Phase1Pool", "PoolManager", "WalkEngine"]
@@ -83,14 +79,22 @@ __all__ = ["Phase1Pool", "PoolManager", "WalkEngine"]
 
 @dataclass
 class Phase1Pool:
-    """The persistent short-walk pool one engine session serves from.
+    """A Phase-1 short-walk pool that walk requests stitch against.
 
     ``store`` holds every unused token (columnar); ``lam``/``eta`` are the
-    parameters Phase 1 ran with (all refills reuse them so the pool stays
-    homogeneous — every token length uniform on ``[λ, 2λ−1]``);
+    parameters Phase 1 ran with, and ``randomized_lengths`` whether token
+    lengths are uniform on ``[λ, 2λ−1]`` (the paper) or fixed at ``λ``
+    (PODC'09).  Refills reuse all three so the pool stays homogeneous;
     ``record_paths`` is fixed at preparation time for the same reason.
     ``diameter_estimate`` is the Θ(D) estimate captured during the warm-up
     BFS.
+
+    The session's persistent pool (``engine.pool``) serves a stream of
+    queries under a :class:`~repro.engine.pool.PoolManager`.  A one-shot
+    request instead builds a ``single_use`` pool from its resolved
+    :class:`~repro.walks.params.WalkParams`: a fresh store, no manager, no
+    background maintenance, never installed as ``engine.pool``, and its
+    refills bill to ``"get-more-walks"`` rather than ``"pool-refill"``.
     """
 
     store: WalkStore
@@ -98,6 +102,8 @@ class Phase1Pool:
     eta: float
     record_paths: bool
     diameter_estimate: int
+    randomized_lengths: bool = True
+    single_use: bool = False
     refills: int = 0
     queries: int = 0
 
@@ -106,16 +112,39 @@ class Phase1Pool:
         """Current pool occupancy (tokens not yet consumed)."""
         return self.store.total_unused()
 
+    @property
+    def loop_margin(self) -> int:
+        """Stitch while at least this many steps remain (Algorithm 1, line 4).
+
+        ``2λ`` for segment lengths on ``[λ, 2λ−1]``, ``λ`` for fixed ones.
+        """
+        return 2 * self.lam if self.randomized_lengths else self.lam
+
+    def refill_count(self, length: int) -> int:
+        """Walks one GET-MORE-WALKS launches at a dry connector for an ℓ-step walk.
+
+        ``ℓ/λ`` (enough for the whole walk) for the paper's pools; PODC'09's
+        amortization launches ``η`` more.
+        """
+        if self.randomized_lengths:
+            return max(1, length // self.lam)
+        return max(1, int(self.eta))
+
+    @property
+    def refill_phase(self) -> str:
+        """Ledger phase of reactive refills."""
+        return GET_MORE_WALKS if self.single_use else POOL_REFILL
+
 
 @dataclass
 class _WalkSlot:
-    """One in-flight walk inside an interleaved stitching sweep.
+    """One in-flight walk of a k-walk request or a scheduler cohort.
 
-    The unit of work both the engine's batch path and the serving
-    scheduler's merged cohorts advance: ``current``/``completed`` track the
-    walk frontier, ``chunks`` accumulates trajectory fragments when
-    ``record`` is set, and ``draws`` counts the pool tokens this walk
-    consumed (how the caller knows whether the walk ever touched the pool).
+    ``current``/``completed`` track the walk frontier, ``chunks``
+    accumulates trajectory fragments when the walk's path is tracked,
+    ``record`` says whether the caller wants the trajectory back, and
+    ``draws`` counts the pool tokens this walk consumed (how the caller
+    knows whether the walk ever touched the pool).
     """
 
     source: int
@@ -129,18 +158,6 @@ class _WalkSlot:
     @property
     def remaining(self) -> int:
         return self.length - self.completed
-
-
-@dataclass
-class _SingleServed:
-    """Internal carrier for one pooled single-walk execution."""
-
-    destination: int
-    mode: str
-    positions: np.ndarray | None = None
-    segments: list = field(default_factory=list)
-    connectors: list[int] = field(default_factory=list)
-    gmw_calls: int = 0
 
 
 class WalkEngine:
@@ -159,7 +176,7 @@ class WalkEngine:
         Default parameter policy (λ's leading constant; Phase-1 walks per
         unit degree).
     record_paths:
-        Default for pool preparation and one-shot single walks.
+        Default for pool preparation, and so for pooled single walks.
     network:
         Use an existing network (sharing its ledger) instead of creating
         one — the legacy wrappers pass their ``network=`` argument through
@@ -472,20 +489,8 @@ class WalkEngine:
             raise WalkError(f"lambda must be >= 1, got {lam}")
         if self._pool is not None:
             self._refills_retired += self._pool.refills
-        store = WalkStore()
-        counts = token_counts(self.graph.degrees, eta, degree_proportional=True)
-        perform_short_walks(
-            self.network,
-            store,
-            lam,
-            self.rng,
-            counts=counts,
-            randomized_lengths=True,
-            record_paths=record_paths,
-        )
-        self._pool = Phase1Pool(
-            store=store, lam=lam, eta=eta, record_paths=record_paths, diameter_estimate=d_est
-        )
+        params = WalkParams(lam=lam, eta=eta, degree_proportional=True, randomized_lengths=True)
+        self._pool = self._phase1(params, record_paths, d_est)
         self._pool_manager = PoolManager(
             self._pool,
             self.graph,
@@ -494,6 +499,33 @@ class WalkEngine:
         )
         self._full_preparations += 1
         return self._pool
+
+    def _phase1(
+        self, params: WalkParams, record_paths: bool, d_est: int, *, single_use: bool = False
+    ) -> Phase1Pool:
+        """Phase 1 at ``params``: every node prepares its short walks."""
+        store = WalkStore()
+        counts = token_counts(
+            self.graph.degrees, params.eta, degree_proportional=params.degree_proportional
+        )
+        perform_short_walks(
+            self.network,
+            store,
+            params.lam,
+            self.rng,
+            counts=counts,
+            randomized_lengths=params.randomized_lengths,
+            record_paths=record_paths,
+        )
+        return Phase1Pool(
+            store=store,
+            lam=params.lam,
+            eta=params.eta,
+            record_paths=record_paths,
+            diameter_estimate=d_est,
+            randomized_lengths=params.randomized_lengths,
+            single_use=single_use,
+        )
 
     def _pool_for_request(
         self,
@@ -628,15 +660,21 @@ class WalkEngine:
 
         ``algorithm="paper"`` with ``pooled=True`` (the default) serves from
         the persistent pool, auto-preparing on first use.  ``pooled=False``
-        reproduces the legacy one-shot execution bit-for-bit (the
-        golden-ledger contract).  The baselines (``naive``, ``podc09``,
-        ``metropolis``) always run one-shot on the shared network.
-        ``params`` is the legacy full-override escape hatch and applies to
-        one-shot execution of the parameterized algorithms ("paper",
-        "podc09") only; ``target`` is the Metropolis–Hastings stationary
-        distribution.  The MH baseline models no report step, so
-        ``report_to_source`` is ignored for it (its round count is the
-        number of accepted moves plus one setup round).
+        (and ``algorithm="podc09"``, always) runs the same body on a
+        single-use pool built from the request's resolved parameters — the
+        free functions' execution, pinned by the golden ledgers.  The
+        ``naive`` and ``metropolis`` baselines run their own bodies on the
+        shared network.  ``params`` is the full-override escape hatch for
+        one-shot "paper" and "podc09" requests; ``target`` is the
+        Metropolis–Hastings stationary distribution.  The MH baseline
+        models no report step, so ``report_to_source`` is ignored for it
+        (its round count is the number of accepted moves plus one setup
+        round).
+
+        This is the one home of per-request accounting: every result's
+        ``rounds`` / ``phase_rounds`` are the ledger delta of *this*
+        request, also on a shared network, and a pooled request's
+        background maintenance runs after that delta closes.
         """
         if params is not None:
             if request.pooled and request.algorithm == "paper":
@@ -649,10 +687,22 @@ class WalkEngine:
                     f"algorithm {request.algorithm!r} takes no params= override"
                 )
         self._queries += 1
+        ledger = self.network.ledger
         with self.obs.annotate(
             scope="request", algorithm=request.algorithm, k=len(request.sources)
         ):
-            return self._dispatch(request, params=params, target=target)
+            snapshot = ledger.capture()
+            result, pool = self._dispatch(request, params=params, target=target)
+            delta = ledger.delta_since(snapshot)
+            result.rounds = delta.rounds
+            result.phase_rounds = dict(delta.phase_rounds)
+            if pool is not None:
+                pool.queries += 1
+            if self.auto_maintain and request.pooled and request.algorithm == "paper":
+                # Background watermark sweep *after* the request delta
+                # closed: its rounds land on the session ledger only.
+                self.maintain()
+        return result
 
     def _dispatch(
         self,
@@ -661,78 +711,103 @@ class WalkEngine:
         params: WalkParams | None = None,
         target: np.ndarray | None = None,
     ):
-        algo = request.algorithm
-        if algo == "paper":
-            if request.many:
-                if request.pooled:
-                    return self._serve_pooled_many(request)
-                return _run_many_walks(
-                    self.graph,
-                    list(request.sources),
-                    request.length,
-                    self.rng,
-                    self.network,
-                    params=params,
-                    lam=request.lam,
-                    eta=self._default_eta if request.eta is None else request.eta,
-                    lambda_constant=self.lambda_constant,
-                    record_paths=False if request.record_paths is None else request.record_paths,
-                    report_to_source=request.report_to_source,
-                )
-            if request.pooled:
-                return self._serve_pooled_single(request)
-            return _run_single_walk(
-                self.graph,
-                request.source,
-                request.length,
-                self.rng,
-                self.network,
-                params=params,
-                lam=request.lam,
-                eta=self._default_eta if request.eta is None else request.eta,
-                lambda_constant=self.lambda_constant,
-                record_paths=True if request.record_paths is None else request.record_paths,
-                report_to_source=request.report_to_source,
-            )
-        if request.many:
+        """Resolve the request's pool and run its body.
+
+        Returns ``(result, pool)``, where ``pool`` is the pool the walks
+        were stitched from (``None`` when they ran naively).
+        """
+        algo, length = request.algorithm, request.length
+        for s in request.sources:
+            self._validate_query(s, length)
+        if request.many and algo != "paper":
             raise WalkError(
                 f"algorithm {algo!r} serves single-walk requests only; "
                 "use algorithm='paper' for batches"
             )
         if algo == "naive":
-            return _run_naive_walk(
+            result = _run_naive_walk(
                 self.graph,
                 request.source,
-                request.length,
+                length,
                 self.rng,
                 self.network,
-                record_paths=True if request.record_paths is None else request.record_paths,
+                record_paths=request.record_paths is not False,
                 report_to_source=request.report_to_source,
             )
-        if algo == "podc09":
-            return _run_podc09_walk(
-                self.graph,
-                request.source,
-                request.length,
-                self.rng,
-                self.network,
-                params=params,
-                lam=request.lam,
-                eta=request.eta,  # None means Θ((ℓ/D)^{1/3}), the baseline's own policy
-                lambda_constant=self.lambda_constant,
-                record_paths=True if request.record_paths is None else request.record_paths,
-                report_to_source=request.report_to_source,
+            return result, None
+        if algo == "metropolis":
+            result = _run_metropolis_walk(
+                self.graph, request.source, length, self.rng, self.network, target=target
             )
-        # WalkRequest.__post_init__ guarantees this is "metropolis".
-        result = _run_metropolis_walk(
-            self.graph, request.source, request.length, self.rng, self.network, target=target
+            if request.record_paths is False:
+                result.positions = None
+            return result, None
+
+        # One setup BFS per request: the Θ(D) estimate parameters are
+        # resolved from, and the tree destinations report over.
+        d_est, tree = estimate_diameter(
+            self.network, request.source, self._tree_cache, allow_unreached=self._faults is not None
         )
-        if request.record_paths is False:
-            result.positions = None
-        return result
+        rp = request.record_paths
+        tokens_before = 0
+        if request.pooled and algo == "paper":
+            live = self._pool
+            pool, lam = self._pool_for_request(
+                length, request.lam, request.eta, rp, d_est, k=request.k
+            )
+            prepared_in = pool  # the pool whose new tokens this request created
+            if pool is not None and pool is live:
+                tokens_before = pool.store.tokens_created
+            if rp is None:
+                # Batches default to endpoint-only, single walks to the pool's policy.
+                rp = False if request.many else (
+                    pool.record_paths if pool is not None else self._default_record_paths
+                )
+            if pool is not None and pool.lam >= length:
+                # The walk is shorter than one short-walk segment: it runs
+                # naively and leaves the pool untouched.
+                pool = None
+        else:
+            if rp is None:
+                rp = not request.many
+            if params is None:
+                params = self._oneshot_params(request, d_est)
+            lam = params.lam
+            pool = None if params.use_naive else self._phase1(params, rp, d_est, single_use=True)
+            prepared_in = pool
+        if pool is not None and rp and not pool.record_paths:
+            raise WalkError(
+                "pool was prepared with record_paths=False; "
+                "call prepare(record_paths=True) to serve trajectory queries"
+            )
+
+        if request.many:
+            return self._serve_many(request, pool, lam, tree, rp), pool
+        result = self._serve_single(request, pool, lam, tree, rp)
+        if prepared_in is not None:
+            result.tokens_prepared = prepared_in.store.tokens_created - tokens_before
+        return result, pool
+
+    def _oneshot_params(self, request: WalkRequest, d_est: int) -> WalkParams:
+        """Parameters a one-shot request's single-use pool is built from."""
+        length, lam = request.length, request.lam
+        if request.algorithm == "podc09":
+            # eta=None means Θ((ℓ/D)^{1/3}), the baseline's own policy.
+            return podc09_params(
+                length, d_est, constant=self.lambda_constant, lam=lam, eta=request.eta
+            )
+        eta = self._default_eta if request.eta is None else request.eta
+        if request.many:
+            return _theorem_2_8_params(
+                request.k, length, d_est,
+                constant=self.lambda_constant, lam=lam, eta=eta, n=self.graph.n,
+            )
+        return single_walk_params(
+            length, d_est, constant=self.lambda_constant, lam=lam, eta=eta, n=self.graph.n
+        )
 
     # ------------------------------------------------------------------
-    # Pooled serving
+    # Walk bodies
     # ------------------------------------------------------------------
     def _validate_query(self, source: int, length: int) -> None:
         if not 0 <= source < self.graph.n:
@@ -740,16 +815,169 @@ class WalkEngine:
         if length < 1:
             raise WalkError(f"walk length must be >= 1, got {length}")
 
-    def _resolve_record_paths(self, pool: Phase1Pool, requested: bool | None, default: bool) -> bool:
-        rp = default if requested is None else requested
-        if rp and not pool.record_paths:
-            raise WalkError(
-                "pool was prepared with record_paths=False; "
-                "call prepare(record_paths=True) to serve trajectory queries"
-            )
-        return rp
+    def _serve_single(
+        self, request: WalkRequest, pool: Phase1Pool | None, lam: int, tree: BfsTree, rp: bool
+    ) -> WalkResult:
+        """The single-walk body: SINGLE-RANDOM-WALK and PODC'09, pooled or one-shot.
 
-    def _stitch_pooled(
+        With no pool (λ ≥ ℓ) the token walks naively for ℓ rounds;
+        otherwise Phase 2 stitches the walk from ``pool``.  Either way the
+        destination reports back to the source over ``tree``.
+        """
+        source, length = request.source, request.length
+        net = self.network
+        if pool is None:
+            walk = self.graph.walk(source, length, self.rng)
+            with net.phase(NAIVE):
+                net.deliver_sequential(walk)
+            result = WalkResult(
+                source=source,
+                length=length,
+                destination=walk[-1],
+                mode="naive",
+                lam=lam,
+                positions=np.asarray(walk, dtype=np.int64) if rp else None,
+            )
+        else:
+            destination, positions, segments, connectors, gmw_calls, _ = self._stitch(
+                pool, source, length, record_paths=rp, defer_tail=False
+            )
+            result = WalkResult(
+                source=source,
+                length=length,
+                destination=destination,
+                mode="stitched" if pool.randomized_lengths else "podc09",
+                lam=lam,
+                positions=positions,
+                segments=segments,
+                connectors=connectors,
+                get_more_walks_calls=gmw_calls,
+            )
+        if request.report_to_source:
+            with net.phase(REPORT):
+                net.deliver_sequential(tree.path_to_root(result.destination))
+        return result
+
+    def _serve_many(
+        self, request: WalkRequest, pool: Phase1Pool | None, lam: int, tree: BfsTree, rp: bool
+    ) -> ManyWalksResult:
+        """The k-walk body: MANY-RANDOM-WALKS, pooled or one-shot.
+
+        With no pool (Theorem 2.8's λ > ℓ branch) all k walks run naively in
+        parallel.  Otherwise the walks stitch from ``pool`` by one of two
+        algorithms with different ledgers: interleaved shared-tree sweeps
+        (:meth:`_advance_interleaved`, the pooled default) or the serial
+        per-connector SAMPLE-DESTINATION loop of §2.3 (:meth:`_advance_serial`;
+        one-shot requests and ``batch=False``).  All tails then run
+        concurrently.
+        """
+        sources, length, k = list(request.sources), request.length, request.k
+        # Serial vs interleaved stitching bill different ledgers, so both
+        # stay: one-shot pools (golden-pinned) and batch=False run serial.
+        interleave = pool is not None and not pool.single_use and request.batch is not False
+        _, destinations, trajectories, gmw_calls = self._run_slots(
+            pool,
+            [(sources, length, rp)],
+            tree=tree,
+            interleave=interleave,
+            tail_phase=NAIVE_PARALLEL if pool is None else NAIVE_TAIL,
+        )
+        if request.report_to_source:
+            if pool is not None and pool.single_use:
+                # The one-shot stitched report: each destination routes its
+                # ID to the source on its own (the golden-pinned ledger).
+                with self.network.phase(REPORT):
+                    for destination in destinations:
+                        self.network.deliver_sequential(tree.path_to_root(destination))
+            else:
+                self._report_convergecast(tree, [k])
+        if pool is None:
+            mode = "naive-parallel"
+        else:
+            mode = "batch-stitched" if interleave else "stitched"
+        return ManyWalksResult(
+            sources=sources,
+            length=length,
+            destinations=destinations,
+            positions=trajectories if rp else None,
+            mode=mode,
+            lam=lam,
+            get_more_walks_calls=gmw_calls,
+        )
+
+    def _run_slots(
+        self,
+        pool: Phase1Pool | None,
+        walks: list[tuple],
+        *,
+        tree: BfsTree,
+        interleave: bool = True,
+        sample_phase: str = BATCH_SAMPLE,
+        route_phase: str = STITCH_ROUTE,
+        refill_phase: str | None = None,
+        tail_phase: str = NAIVE_TAIL,
+    ) -> tuple[list[_WalkSlot], list[int], list[np.ndarray | None], int]:
+        """Serve a batch of walks: one slot each, stitched, then all tails at once.
+
+        ``walks`` lists ``(sources, length, record)`` groups — one for a
+        k-walk request, one per cohort entry for the serving scheduler.
+        With no pool every walk runs its whole length as a parallel tail.
+        Returns ``(slots, destinations, trajectories, refill_calls)``;
+        ``trajectories[i]`` is ``None`` unless slot ``i`` records.
+        """
+        # Under a fault controller, a path-recording pool tracks every
+        # slot's trajectory even for endpoint-only requests: crash recovery
+        # truncates in-flight walks to their longest still-valid prefix,
+        # which needs the prefix.  ``record`` still governs output assembly.
+        track_all = self._faults is not None and pool is not None and pool.record_paths
+        slots = [
+            _WalkSlot(
+                source=int(s),
+                length=length,
+                record=record,
+                current=int(s),
+                chunks=[np.array([s], dtype=np.int64)] if record or track_all else None,
+            )
+            for sources, length, record in walks
+            for s in sources
+        ]
+        refill_calls = 0
+        if pool is not None and interleave:
+            refill_calls = self._advance_interleaved(
+                pool,
+                slots,
+                base_tree=tree,
+                sample_phase=sample_phase,
+                route_phase=route_phase,
+                refill_phase=pool.refill_phase if refill_phase is None else refill_phase,
+            )
+        elif pool is not None:
+            refill_calls = self._advance_serial(pool, slots)
+
+        # The k tails are independent naive walks of < 2λ steps each, so
+        # batching them costs O(λ + k) instead of the O(k·λ) sequential
+        # tails would — this keeps Phase 2 at the Õ(√(kℓD)) the
+        # Theorem 2.8 proof charges for it.
+        pre_tails = [(slot.current, slot.remaining) for slot in slots]
+        destinations, tail_paths = _parallel_tails(
+            self.network,
+            pre_tails,
+            self.rng,
+            record_paths=any(slot.record for slot in slots),
+            phase=tail_phase,
+        )
+        trajectories: list[np.ndarray | None] = []
+        for slot, tail in zip(slots, tail_paths):
+            if not slot.record:
+                trajectories.append(None)
+                continue
+            assert tail is not None and slot.chunks is not None
+            trajectories.append(np.concatenate(slot.chunks + [tail]))
+            if len(trajectories[-1]) != slot.length + 1:
+                raise WalkError("stitched + tail trajectory has wrong length")
+        return slots, destinations, trajectories, refill_calls
+
+    def _stitch(
         self,
         pool: Phase1Pool,
         source: int,
@@ -758,7 +986,7 @@ class WalkEngine:
         record_paths: bool,
         defer_tail: bool,
     ) -> tuple:
-        """One pooled stitching sweep; refills charge to ``"pool-refill"``.
+        """Stitch one walk from ``pool`` by per-connector SAMPLE-DESTINATION.
 
         Trajectory assembly follows the *request* (``record_paths``) while
         refill tokens follow the *pool's* policy, keeping the pool
@@ -773,99 +1001,41 @@ class WalkEngine:
             length,
             pool.lam,
             self.rng,
-            loop_margin=2 * pool.lam,
-            gmw_count=max(1, length // pool.lam),
-            randomized_lengths=True,
+            loop_margin=pool.loop_margin,
+            gmw_count=pool.refill_count(length),
+            randomized_lengths=pool.randomized_lengths,
             record_paths=record_paths,
             tree_cache=self._tree_cache,
             defer_tail=defer_tail,
-            gmw_phase=POOL_REFILL,
+            gmw_phase=pool.refill_phase,
             refill_record_paths=pool.record_paths,
             allow_unreached=self._faults is not None,
         )
-        gmw_calls = out[4]
-        pool.refills += gmw_calls
-        if self._pool_manager is not None:
+        pool.refills += out[4]
+        if not pool.single_use and self._pool_manager is not None:
             for record in out[2]:
                 self._pool_manager.record_served(record.source)
         return out
 
-    def _serve_pooled_single(self, request: WalkRequest) -> WalkResult:
-        source, length = request.source, request.length
-        self._validate_query(source, length)
-        net = self.network
-        snapshot = net.ledger.capture()
-        # One setup BFS per query: it doubles as the diameter estimate for
-        # (auto-)preparation and as the report-routing tree.
-        d_est, source_tree = estimate_diameter(
-            net, source, self._tree_cache, allow_unreached=self._faults is not None
-        )
-        old_pool = self._pool
-        pool, lam_val = self._pool_for_request(
-            length, request.lam, request.eta, request.record_paths, d_est
-        )
-        tokens_before = (
-            pool.store.tokens_created if (pool is not None and pool is old_pool) else 0
-        )
+    def _advance_serial(self, pool: Phase1Pool, slots: list[_WalkSlot]) -> int:
+        """Advance the slots one after another to their pre-tail frontiers.
 
-        if pool is None or pool.lam >= length:
-            # The walk is shorter than one short-walk segment: serve it
-            # naively (ℓ rounds), leaving the pool — if any — untouched.
-            if request.record_paths is not None:
-                rp = request.record_paths
-            else:
-                rp = pool.record_paths if pool is not None else self._default_record_paths
-            positions_list = self.graph.walk(source, length, self.rng)
-            with net.phase(NAIVE):
-                net.deliver_sequential(positions_list)
-            served = _SingleServed(
-                destination=positions_list[-1],
-                mode="naive",
-                positions=np.asarray(positions_list, dtype=np.int64) if rp else None,
+        §2.3: "stitch ... for s₁ then do the same thing for s₂, s₃, and so
+        on", each segment a full SAMPLE-DESTINATION round trip at its
+        connector.  Returns the number of refill invocations.
+        """
+        refill_calls = 0
+        for slot in slots:
+            current, positions, segments, _, gmw_calls, remaining = self._stitch(
+                pool, slot.source, slot.length, record_paths=slot.chunks is not None, defer_tail=True
             )
-        else:
-            rp = self._resolve_record_paths(pool, request.record_paths, pool.record_paths)
-            destination, positions, segments, connectors, gmw_calls, _remaining = (
-                self._stitch_pooled(pool, source, length, record_paths=rp, defer_tail=False)
-            )
-            served = _SingleServed(
-                destination=destination,
-                mode="stitched",
-                positions=positions,
-                segments=segments,
-                connectors=connectors,
-                gmw_calls=gmw_calls,
-            )
-
-        if request.report_to_source:
-            with net.phase(REPORT):
-                net.deliver_sequential(source_tree.path_to_root(served.destination))
-
-        if pool is not None and served.mode == "stitched":
-            # Only queries actually served from tokens count against the
-            # pool; a lam >= length query routed to the naive branch above
-            # never touched it.
-            pool.queries += 1
-        delta = net.ledger.delta_since(snapshot)
-        result = WalkResult(
-            source=source,
-            length=length,
-            destination=served.destination,
-            positions=served.positions,
-            segments=served.segments,
-            connectors=served.connectors,
-            tokens_prepared=(pool.store.tokens_created - tokens_before) if pool is not None else 0,
-            mode=served.mode,
-            rounds=delta.rounds,
-            lam=lam_val,
-            phase_rounds=dict(delta.phase_rounds),
-            get_more_walks_calls=served.gmw_calls,
-        )
-        if self.auto_maintain:
-            # Background watermark sweep *after* the request delta closed:
-            # its rounds land on the session ledger, not on this result.
-            self.maintain()
-        return result
+            slot.current = current
+            slot.completed = slot.length - remaining
+            slot.draws = len(segments)
+            if positions is not None:
+                slot.chunks = [positions]
+            refill_calls += gmw_calls
+        return refill_calls
 
     @charged_fast_path(
         equivalence_test="tests/test_tenants.py::test_pipelined_report_bills_shared_phase_only"
@@ -895,154 +1065,6 @@ class WalkEngine:
         with net.phase(phase):
             net.charge(rounds, TreeSweep.funnel(net, tree, k_total))
 
-    def _serve_pooled_many(self, request: WalkRequest) -> ManyWalksResult:
-        sources, length = list(request.sources), request.length
-        for s in sources:
-            self._validate_query(s, length)
-        net = self.network
-        snapshot = net.ledger.capture()
-        k = len(sources)
-        d_est, base_tree = estimate_diameter(
-            net, sources[0], self._tree_cache, allow_unreached=self._faults is not None
-        )
-        pool, lam_val = self._pool_for_request(
-            length, request.lam, request.eta, request.record_paths, d_est, k=k
-        )
-        # Batch queries default to endpoint-only (the legacy many-walks
-        # contract); trajectories must be requested explicitly.
-        rp = False if request.record_paths is None else request.record_paths
-
-        if pool is None or pool.lam >= length:
-            destinations, trajectories = _parallel_naive(
-                net, sources, length, self.rng, record_paths=rp
-            )
-            total_gmw = 0
-            mode = "naive-parallel"
-            served_from_pool = False
-        else:
-            rp = self._resolve_record_paths(pool, request.record_paths, default=False)
-            use_batch = True if request.batch is None else request.batch
-            if use_batch:
-                destinations, trajectories, total_gmw = self._serve_batch_stitched(
-                    pool, sources, length, record_paths=rp, base_tree=base_tree
-                )
-                mode = "batch-stitched"
-            else:
-                pre_tails: list[tuple[int, int]] = []
-                stitched_chunks: list[np.ndarray | None] = []
-                total_gmw = 0
-                for source in sources:
-                    current, positions, _segments, _connectors, gmw_calls, remaining = (
-                        self._stitch_pooled(pool, source, length, record_paths=rp, defer_tail=True)
-                    )
-                    total_gmw += gmw_calls
-                    pre_tails.append((current, remaining))
-                    stitched_chunks.append(positions)
-                destinations, tail_paths = _parallel_tails(
-                    net, pre_tails, self.rng, record_paths=rp
-                )
-                trajectories = None
-                if rp:
-                    trajectories = []
-                    for stitched, tail in zip(stitched_chunks, tail_paths):
-                        assert stitched is not None and tail is not None
-                        trajectories.append(np.concatenate([stitched, tail]))
-                        if len(trajectories[-1]) != length + 1:
-                            raise WalkError("stitched + tail trajectory has wrong length")
-                mode = "stitched"
-            served_from_pool = True
-
-        if request.report_to_source:
-            self._report_convergecast(base_tree, [k])
-
-        if pool is not None and served_from_pool:
-            pool.queries += 1
-        delta = net.ledger.delta_since(snapshot)
-        result = ManyWalksResult(
-            sources=sources,
-            length=length,
-            destinations=destinations,
-            positions=trajectories if rp else None,
-            mode=mode,
-            rounds=delta.rounds,
-            lam=lam_val,
-            phase_rounds=dict(delta.phase_rounds),
-            get_more_walks_calls=total_gmw,
-        )
-        if self.auto_maintain:
-            self.maintain()
-        return result
-
-    def _serve_batch_stitched(
-        self,
-        pool: Phase1Pool,
-        sources: list[int],
-        length: int,
-        *,
-        record_paths: bool,
-        base_tree: BfsTree,
-    ) -> tuple[list[int], list[np.ndarray] | None, int]:
-        """Advance all k walks in interleaved sweeps over one shared tree.
-
-        The serial loop (§2.3: "stitch ... for s₁ then s₂, s₃, and so on")
-        pays a full SAMPLE-DESTINATION round trip *per segment per walk*.
-        The batch regime of arXiv:1201.1363 interleaves instead — per
-        sweep, every active walk advances one segment, and all sampling
-        traffic shares **one** BFS tree (rooted at ``sources[0]``, the tree
-        the setup BFS already built) with classic CONGEST pipelining:
-
-        * one tree (re-)flood per sweep (not per walk);
-        * the ``S`` sample draws of a sweep are ``S`` convergecast streams
-          pipelined on the shared tree — ``height + S − 1`` rounds, ditto
-          their delete broadcasts (one SAMPLE-DESTINATION round trip serves
-          every walk parked at a connector, the congestion argument);
-        * the ``S`` stitched tokens route connector → root → destination
-          concurrently, ``max hops + S − 1`` rounds.
-
-        Each draw is uniform over the connector's unused tokens, taken
-        *without replacement* within a sweep
-        (:meth:`~repro.walks.store.WalkStore.sample_uniform_token` — the
-        convergecast-merge law of Lemma A.2 computed centrally), so every
-        walk still consumes fresh independent short walks and the
-        concatenated law stays exactly ``P^ℓ``.  Connectors short of
-        tokens are refilled *batched* — one multi-source GET-MORE-WALKS
-        sweep per stitching sweep, charged to ``"pool-refill"``.
-
-        Returns ``(destinations, trajectories, gmw_calls)`` where
-        ``gmw_calls`` counts per-connector refill invocations (batched into
-        sweeps on the wire).
-        """
-        net = self.network
-        # Under a fault controller, a path-recording pool tracks every
-        # slot's trajectory even for endpoint-only requests: crash recovery
-        # truncates in-flight walks to their longest still-valid prefix,
-        # which needs the prefix.  ``record`` still governs output assembly.
-        track = record_paths or (self._faults is not None and pool.record_paths)
-        slots = [
-            _WalkSlot(
-                source=int(s),
-                length=length,
-                record=record_paths,
-                current=int(s),
-                chunks=[np.array([s], dtype=np.int64)] if track else None,
-            )
-            for s in sources
-        ]
-        total_gmw = self._advance_interleaved(pool, slots, base_tree=base_tree)
-
-        # All tails run concurrently, exactly as the serial path does.
-        pre_tails = [(slot.current, slot.remaining) for slot in slots]
-        destinations, tail_paths = _parallel_tails(net, pre_tails, self.rng, record_paths=record_paths)
-        trajectories: list[np.ndarray] | None = None
-        if record_paths:
-            trajectories = []
-            for slot, tail in zip(slots, tail_paths):
-                assert tail is not None and slot.chunks is not None
-                trajectories.append(np.concatenate(slot.chunks + [tail]))
-                if len(trajectories[-1]) != length + 1:
-                    raise WalkError("batch-stitched trajectory has wrong length")
-        return destinations, trajectories, total_gmw
-
     def _advance_interleaved(
         self,
         pool: Phase1Pool,
@@ -1055,9 +1077,9 @@ class WalkEngine:
     ) -> int:
         """Advance every slot to its pre-tail frontier in interleaved sweeps.
 
-        The sweep engine shared by :meth:`_serve_batch_stitched` (one k-walk
-        request, default phase names — behavior and charges identical to the
-        PR-3 loop) and the :mod:`repro.serve` scheduler (many concurrent
+        The sweep engine shared by :meth:`_serve_many` (one k-walk request,
+        default phase names — behavior and charges identical to the PR-3
+        loop) and the :mod:`repro.serve` scheduler (many concurrent
         requests merged into one slot list, billed to ``"serve/..."``
         phases).  Per sweep every active slot advances one token; slots
         parked at the same connector share one SAMPLE-DESTINATION round trip
@@ -1085,9 +1107,9 @@ class WalkEngine:
         net = self.network
         store = pool.store
         lam = pool.lam
-        loop_margin = 2 * lam
+        loop_margin = pool.loop_margin
         k = len(slots)
-        manager = self._pool_manager
+        manager = None if pool.single_use else self._pool_manager
         total_gmw = 0
         root = base_tree.root
         depth = base_tree.depth
@@ -1146,7 +1168,7 @@ class WalkEngine:
                 (
                     c,
                     max(
-                        max(max(1, slots[i].length // lam) for i in walks),
+                        max(pool.refill_count(slots[i].length) for i in walks),
                         len(walks) - store.count_for_source(c),
                     ),
                 )
@@ -1163,7 +1185,7 @@ class WalkEngine:
                     refill_counts,
                     lam,
                     self.rng,
-                    randomized_lengths=True,
+                    randomized_lengths=pool.randomized_lengths,
                     record_paths=pool.record_paths,
                     phase=refill_phase,
                 )

@@ -93,12 +93,14 @@ class WalkRequest:
         (ℓ-round token forwarding), ``"podc09"`` (the fixed-length
         baseline), or ``"metropolis"`` (Metropolis–Hastings token walk).
     pooled:
-        Serve from the engine's persistent Phase-1 pool (``"paper"`` only;
-        the baselines always run one-shot).  ``False`` reproduces the
-        legacy free-function execution bit-for-bit.
+        Serve from the engine's persistent Phase-1 pool (``"paper"`` only).
+        ``False`` — and ``"podc09"`` always — serves the request from a
+        single-use pool built from its resolved parameters, which is what
+        the free functions do; the naive and Metropolis baselines use no
+        pool.
     record_paths:
-        ``None`` picks the path default (pool setting when pooled, the
-        legacy per-function default otherwise).
+        ``None`` picks the path default (pool setting for a pooled single
+        walk, on for a one-shot single walk, off for every batch).
     report_to_source:
         Route the destination ID back to the source (the SoD contract).
     lam / eta:

@@ -97,7 +97,7 @@ from repro.congest.phases import (
     SERVE_TAIL,
 )
 from repro.congest.primitives import build_bfs_tree
-from repro.engine.core import WalkEngine, _WalkSlot
+from repro.engine.core import WalkEngine
 from repro.engine.model import WalkRequest
 from repro.errors import WalkError
 from repro.serve.model import (
@@ -110,7 +110,7 @@ from repro.serve.model import (
     _percentile,
 )
 from repro.serve.tenants import DEFAULT_TENANT, TenantRegistry
-from repro.walks.many_walks import ManyWalksResult, _parallel_tails
+from repro.walks.many_walks import ManyWalksResult
 from repro.walks.params import many_walks_params
 
 __all__ = ["WalkScheduler"]
@@ -748,8 +748,9 @@ class WalkScheduler:
         # whole ticket, or one chunk of a walk-count-split one).  With no
         # pool (naive regime) nothing is ever active in the sweep loop and
         # all walks complete as one merged parallel-tail phase.
-        slots: list[_WalkSlot] = []
+        walks: list[tuple] = []
         entry_slots: list[tuple[_CohortEntry, slice, bool]] = []
+        start = 0
         for entry in cohort:
             ticket = entry.ticket
             req = ticket.request
@@ -766,43 +767,20 @@ class WalkScheduler:
                     f"ticket {ticket.ticket_id} requested trajectories but the pool "
                     "was re-prepared with record_paths=False while it was queued"
                 )
-            # Under a fault controller, a path-recording pool tracks every
-            # slot's trajectory even for endpoint-only tickets — crash
-            # recovery truncates in-flight walks to their longest valid
-            # prefix, which needs the prefix recorded.
-            track = rp or (
-                engine._faults is not None and pool is not None and pool.record_paths
-            )
-            start = len(slots)
-            for s in req.sources[entry.start : entry.start + entry.k]:
-                slots.append(
-                    _WalkSlot(
-                        source=int(s),
-                        length=req.length,
-                        record=rp,
-                        current=int(s),
-                        chunks=[np.array([s], dtype=np.int64)] if track else None,
-                    )
-                )
-            entry_slots.append((entry, slice(start, len(slots)), rp))
+            walks.append((req.sources[entry.start : entry.start + entry.k], req.length, rp))
+            entry_slots.append((entry, slice(start, start + entry.k), rp))
+            start += entry.k
 
-        refill_calls = 0
-        if pool is not None:
-            refill_calls = engine._advance_interleaved(
-                pool,
-                slots,
-                base_tree=tree,
-                sample_phase=SERVE_SAMPLE,
-                route_phase=SERVE_STITCH_ROUTE,
-                refill_phase=POOL_REFILL_SERVE,
-            )
-            self._refill_calls += refill_calls
-
-        pre_tails = [(slot.current, slot.remaining) for slot in slots]
-        any_rp = any(slot.record for slot in slots)
-        destinations, tail_paths = _parallel_tails(
-            net, pre_tails, engine.rng, record_paths=any_rp, phase=SERVE_TAIL
+        slots, destinations, trajectories, refill_calls = engine._run_slots(
+            pool,
+            walks,
+            tree=tree,
+            sample_phase=SERVE_SAMPLE,
+            route_phase=SERVE_STITCH_ROUTE,
+            refill_phase=POOL_REFILL_SERVE,
+            tail_phase=SERVE_TAIL,
         )
+        self._refill_calls += refill_calls
 
         pipelined = self.policy.pipelined_report
         if pipelined:
@@ -840,11 +818,7 @@ class WalkScheduler:
             part = self._partials.setdefault(ticket.ticket_id, _Partial())
             part.destinations.extend(destinations[span])
             if rp:
-                for slot, tail in zip(my_slots, tail_paths[span]):
-                    assert tail is not None and slot.chunks is not None
-                    part.trajectories.append(np.concatenate(slot.chunks + [tail]))
-                    if len(part.trajectories[-1]) != req.length + 1:
-                        raise WalkError("scheduled trajectory has wrong length")
+                part.trajectories.extend(trajectories[span])
             part.drew = part.drew or any(slot.draws for slot in my_slots)
             for name, rounds in delta.phase_rounds.items():
                 part.phase_rounds[name] = part.phase_rounds.get(name, 0) + rounds

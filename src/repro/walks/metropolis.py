@@ -93,11 +93,11 @@ def _run_metropolis_walk(
     *,
     target: np.ndarray | None = None,
 ) -> WalkResult:
-    """One-shot distributed MH walk on a resolved (rng, network) — legacy body."""
-    if length < 1:
-        raise WalkError(f"walk length must be >= 1, got {length}")
-    rounds_before = net.rounds
+    """The distributed MH walk on a resolved (rng, network).
 
+    ``WalkEngine.run`` validates the request and stamps the result's
+    ``rounds`` / ``phase_rounds`` from the ledger delta.
+    """
     with net.phase(MH_SETUP):
         # Every node tells each neighbor (degree, pi); full-edge congestion 1.
         net.charge(1, SlotLoad(np.ones(graph.n_slots, dtype=np.int64)))
@@ -113,10 +113,8 @@ def _run_metropolis_walk(
         length=length,
         destination=positions[-1],
         mode="metropolis-naive",
-        rounds=net.rounds - rounds_before,
         lam=length,
         positions=np.asarray(positions, dtype=np.int64),
-        phase_rounds={k: v.rounds for k, v in net.ledger.phases.items()},
     )
 
 

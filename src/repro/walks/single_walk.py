@@ -15,6 +15,11 @@ Structure, mirroring the paper:
   Lemmas 2.6/2.7).
 * **Tail** — once fewer than ``2λ`` steps remain, walk naively.
 
+This module holds the pieces (the diameter estimate, the stitching loop
+:func:`stitch_walk` and the result type); the single-walk body of
+:class:`~repro.engine.core.WalkEngine` composes them, for a one-shot call on
+a single-use Phase-1 pool and for a pooled query on the session's pool.
+
 The result is an exact sample: each stitched segment is an unused,
 independently generated random walk from the current node, so the
 concatenation is distributed exactly as an ℓ-step walk from ``s`` (the
@@ -30,15 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.congest.network import Network
-from repro.congest.phases import GET_MORE_WALKS, NAIVE, NAIVE_TAIL, REPORT, SETUP, STITCH_ROUTE
+from repro.congest.phases import GET_MORE_WALKS, NAIVE_TAIL, SETUP, STITCH_ROUTE
 from repro.congest.primitives import BfsTree, build_bfs_tree
 from repro.engine.model import ResultBase
 from repro.errors import WalkError
 from repro.graphs.graph import Graph
 from repro.walks.get_more_walks import get_more_walks
-from repro.walks.params import WalkParams, single_walk_params
+from repro.walks.params import WalkParams
 from repro.walks.sample_destination import sample_destination
-from repro.walks.short_walks import perform_short_walks, token_counts
 from repro.walks.store import TokenRecord, WalkStore
 
 __all__ = ["WalkResult", "single_random_walk", "stitch_walk", "estimate_diameter"]
@@ -58,7 +62,10 @@ class WalkResult(ResultBase):
     :class:`~repro.walks.store.WalkStore` as each one was popped (only
     ``O(ℓ/λ)`` of the Θ(η·m) Phase-1 tokens ever become objects);
     ``connectors`` the nodes where stitches happened (Figure 2's stitch
-    points).
+    points).  ``tokens_prepared`` counts the short-walk tokens this request
+    created: Phase 1 when the request prepared its pool (always, for a
+    one-shot call) plus any GET-MORE-WALKS refills it triggered; a warm
+    pooled query that never ran dry reports 0.
     """
 
     source: int
@@ -211,107 +218,6 @@ def stitch_walk(
     return current, positions, segments, connectors, gmw_calls, remaining
 
 
-def _run_single_walk(
-    graph: Graph,
-    source: int,
-    length: int,
-    rng: np.random.Generator,
-    net: Network,
-    *,
-    params: WalkParams | None = None,
-    lam: int | None = None,
-    eta: float = 1.0,
-    lambda_constant: float = 1.0,
-    record_paths: bool = True,
-    report_to_source: bool = True,
-) -> WalkResult:
-    """One-shot SINGLE-RANDOM-WALK execution on a resolved (rng, network).
-
-    This is the legacy free-function body, unchanged: the golden-ledger
-    suite freezes its round/message totals and sampled walks at fixed
-    seeds, so both the :func:`single_random_walk` wrapper and the
-    engine's non-pooled path funnel through it verbatim.
-    """
-    if not 0 <= source < graph.n:
-        raise WalkError(f"source {source} out of range")
-    if length < 1:
-        raise WalkError(f"walk length must be >= 1, got {length}")
-    rounds_before = net.rounds
-    tree_cache: dict[int, BfsTree] = {}
-
-    d_est, source_tree = estimate_diameter(net, source, tree_cache)
-    if params is None:
-        params = single_walk_params(
-            length, d_est, constant=lambda_constant, lam=lam, eta=eta, n=graph.n
-        )
-
-    if params.use_naive:
-        positions_list = graph.walk(source, length, rng)
-        with net.phase(NAIVE):
-            net.deliver_sequential(positions_list)
-        destination = positions_list[-1]
-        if report_to_source:
-            with net.phase(REPORT):
-                net.deliver_sequential(source_tree.path_to_root(destination))
-        return WalkResult(
-            source=source,
-            length=length,
-            destination=destination,
-            mode="naive",
-            rounds=net.rounds - rounds_before,
-            lam=params.lam,
-            positions=np.asarray(positions_list, dtype=np.int64) if record_paths else None,
-            phase_rounds={k: v.rounds for k, v in net.ledger.phases.items()},
-        )
-
-    store = WalkStore()
-    counts = token_counts(graph.degrees, params.eta, degree_proportional=params.degree_proportional)
-    perform_short_walks(
-        net,
-        store,
-        params.lam,
-        rng,
-        counts=counts,
-        randomized_lengths=params.randomized_lengths,
-        record_paths=record_paths,
-    )
-    tokens_prepared = store.tokens_created
-
-    loop_margin = 2 * params.lam if params.randomized_lengths else params.lam
-    destination, positions, segments, connectors, gmw_calls, _remaining = stitch_walk(
-        net,
-        store,
-        source,
-        length,
-        params.lam,
-        rng,
-        loop_margin=loop_margin,
-        gmw_count=max(1, length // params.lam),
-        randomized_lengths=params.randomized_lengths,
-        record_paths=record_paths,
-        tree_cache=tree_cache,
-    )
-
-    if report_to_source:
-        with net.phase(REPORT):
-            net.deliver_sequential(source_tree.path_to_root(destination))
-
-    return WalkResult(
-        source=source,
-        length=length,
-        destination=destination,
-        mode="stitched",
-        rounds=net.rounds - rounds_before,
-        lam=params.lam,
-        positions=positions,
-        segments=segments,
-        connectors=connectors,
-        phase_rounds={k: v.rounds for k, v in net.ledger.phases.items()},
-        get_more_walks_calls=gmw_calls,
-        tokens_prepared=tokens_prepared,
-    )
-
-
 def single_random_walk(
     graph: Graph,
     source: int,
@@ -339,10 +245,10 @@ def single_random_walk(
     Pass an existing ``network`` to accumulate rounds across calls (the RST
     application does this); otherwise a fresh engine is created.
 
-    This is a thin wrapper over a one-shot
-    :class:`~repro.engine.core.WalkEngine`; repeated queries on one graph
-    should hold an engine instead and let its persistent Phase-1 pool
-    amortize the Θ(η·m) token preparation.
+    This is a request on a *single-use* Phase-1 pool of a throwaway
+    :class:`~repro.engine.core.WalkEngine` (``pooled=False``); repeated
+    queries on one graph should hold an engine instead and let its
+    persistent pool amortize the Θ(η·m) token preparation.
     """
     from repro.engine.core import WalkEngine
 

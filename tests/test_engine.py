@@ -237,7 +237,7 @@ class TestAccountingFixes:
     """Regression tests for the PR-3 ledger/telemetry bugfixes."""
 
     def test_report_formula_identical_across_batch_branches(self, torus_8x8):
-        # Both _serve_pooled_many branches must charge the pipelined
+        # Both pooled k-walk branches must charge the pipelined
         # O(height + k) report convergecast.  The stitched path used to
         # charge deliver_sequential(depth[dest]) per destination — Σ depths,
         # measured 43 rounds for k=16 where naive-parallel charged

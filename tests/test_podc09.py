@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.congest import Network
 from repro.errors import WalkError
-from repro.graphs import complete_graph, hypercube_graph
+from repro.graphs import complete_graph, hypercube_graph, torus_graph
 from repro.markov import WalkSpectrum
 from repro.util.stats import chi_square_goodness_of_fit
 from repro.walks import podc09_params, podc09_random_walk
@@ -55,6 +56,16 @@ class TestWalk:
     def test_naive_fallback(self, torus_6x6):
         res = podc09_random_walk(torus_6x6, 0, 2, seed=3)
         assert res.mode == "naive"
+        # λ ≥ ℓ: the walk runs naively, but the setup BFS it billed and the
+        # report to the source both belong to the result (ℓ=5 is odd, so on
+        # the bipartite torus the destination is never the source).
+        graph = torus_graph(8, 8)
+        net = Network(graph, seed=0)
+        res = podc09_random_walk(graph, 0, 5, seed=3, network=net)
+        assert res.mode == "naive"
+        assert res.rounds == net.rounds
+        assert sum(res.phase_rounds.values()) == res.rounds
+        assert res.phase_rounds["report"] > 0
 
     def test_deterministic(self, torus_6x6):
         a = podc09_random_walk(torus_6x6, 0, 200, seed=4)

@@ -14,12 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Network
+from repro.engine import WalkEngine
 from repro.graphs import Graph
 from repro.util.rng import make_rng
 from repro.walks import (
     WalkStore,
     get_more_walks,
+    many_random_walks,
+    naive_metropolis_walk,
+    naive_random_walk,
     perform_short_walks,
+    podc09_random_walk,
     sample_destination,
     single_random_walk,
     token_counts,
@@ -43,6 +48,31 @@ class TestSingleWalkInvariants:
         res.verify_positions(g)
         assert res.rounds > 0
         assert sum(res.phase_rounds.values()) == res.rounds
+
+    @given(connected_graphs(), st.integers(1, 120), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_phase_rounds_are_per_request_on_a_shared_network(self, g, length, seed):
+        # Every algorithm and both shapes, called twice on one network: the
+        # second result must still break down *its own* rounds, not the
+        # session's cumulative phases.
+        net = Network(g, seed=seed)
+        engine = WalkEngine(g, seed=seed, network=net)
+        calls = {
+            "paper": lambda s: single_random_walk(g, 0, length, seed=s, network=net),
+            "paper-k": lambda s: many_random_walks(g, [0, g.n - 1], length, seed=s, network=net),
+            "podc09": lambda s: podc09_random_walk(g, 0, length, seed=s, network=net),
+            "naive": lambda s: naive_random_walk(g, 0, length, seed=s, network=net),
+            "metropolis": lambda s: naive_metropolis_walk(g, 0, length, seed=s, network=net),
+            "pooled": lambda s: engine.walk(g.n - 1, length),
+            "pooled-k": lambda s: engine.walks([0, g.n - 1], length),
+        }
+        for name, call in calls.items():
+            for s in (seed, seed + 1):
+                before = net.rounds
+                res = call(s)
+                assert sum(res.phase_rounds.values()) == res.rounds, name
+                if not name.startswith("pooled"):  # pooled maintenance follows the delta
+                    assert res.rounds == net.rounds - before, name
 
     @given(connected_graphs(), st.integers(20, 150), st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
