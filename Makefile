@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint analyze loc slow claims bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs
+.PHONY: test lint analyze loc slow claims bench-e2e bench-hotpaths bench-engine-reuse bench-batch-walks bench-serve bench-churn bench-faults bench-tenants bench-obs
 
 test:
 	$(PY) -m pytest -x -q
@@ -42,6 +42,16 @@ CLAIMS := $(addprefix benchmarks/bench_,ablations.py connector_bound.py diameter
 
 claims:
 	$(PY) -m pytest -q $(CLAIMS)
+
+# End-to-end host-time benchmark (perfbench/, declared by BENCHMARK.json):
+# wall seconds, peak RSS, latency percentiles and the simulated totals of
+# each workload, one fresh worker process per repetition.
+E2E_WORKLOADS := walk_oneshot serve_tenants serve_churn_observed
+
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 10 || exit 1; \
+	done
 
 bench-hotpaths:
 	$(PY) benchmarks/bench_perf_hotpaths.py

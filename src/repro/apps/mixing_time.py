@@ -150,8 +150,7 @@ def estimate_mixing_time(
             # Every non-root node upcasts its bucket counts (n − 1 messages)
             # after the source hands the drawn bucket IDs to its first
             # child; the pipelined broadcast and upcast take the rounds.
-            announce = tree.children[tree.root][:1]
-            upcast = TreeSweep(net, tree, up=[(EVERY, 1)], down=[(announce, 1)])
+            upcast = TreeSweep(net, tree, up=[(EVERY, 1)], down=[(tree.root_link, 1)])
             net.charge(tester.aggregation_rounds(tree.height, k), upcast)
         probes.append(MixingProbe(length=length, verdict=verdict, rounds=net.rounds - start))
         return verdict

@@ -113,9 +113,16 @@ class RoundLedger:
         The load's totals are the charge's messages and congestion; the
         observer receives the load itself.  Algorithms charge through
         :meth:`Network.charge <repro.congest.network.Network.charge>`.
+        Every figure must be a Python ``int``: a numpy scalar would leak
+        its fixed width into the totals and every export of them.
         """
         messages = load.messages
         congestion = load.congestion
+        if not (isinstance(rounds, int) and isinstance(messages, int) and isinstance(congestion, int)):
+            raise TypeError(
+                "ledger charges take Python ints, got "
+                f"{type(rounds).__name__}/{type(messages).__name__}/{type(congestion).__name__}"
+            )
         if rounds < 0 or messages < 0:
             raise ValueError("cannot charge negative cost")
         self.rounds += rounds

@@ -37,6 +37,13 @@ __all__ = [
 _NO_EDGES = np.zeros(0, dtype=np.int64)
 
 
+def node_array(nodes) -> np.ndarray:
+    """A node collection (array, list, set or dict keys) as an int64 array."""
+    if isinstance(nodes, np.ndarray):
+        return nodes.astype(np.int64, copy=False)
+    return np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+
+
 class EdgeLoad:
     """The traffic of one charge; the base class carries none.
 
@@ -194,15 +201,14 @@ class TreeSweep(EdgeLoad):
         booked on the root's first child edge in both directions, at load
         ``k`` (2k messages).
         """
-        nodes = tree.children[tree.root][:1]
-        return cls(network, tree, up=[(nodes, k)], down=[(nodes, k)], congestion=k)
+        link = tree.root_link
+        return cls(network, tree, up=[(link, k)], down=[(link, k)], congestion=k)
 
     def _size(self, nodes) -> int:
         if nodes is EVERY:
             return self._tree.reached - 1
         if self._paths:
-            depth = self._tree.depth
-            return sum(depth[v] for v in nodes)
+            return int(self._tree.depth[node_array(nodes)].sum())
         return len(nodes)
 
     def _crossings(self, groups) -> np.ndarray:
@@ -210,19 +216,22 @@ class TreeSweep(EdgeLoad):
         counts = np.zeros(tree.n, dtype=np.int64)
         for nodes, w in groups:
             if nodes is EVERY:
-                counts[tree.depth_array > 0] += w
-            elif self._paths:
-                parent, root = tree.parent, tree.root
-                for v in nodes:
-                    while v != root:
-                        counts[v] += w
-                        v = parent[v]
-            else:
-                np.add.at(counts, np.fromiter(nodes, dtype=np.int64, count=len(nodes)), w)
+                counts[tree.depth > 0] += w
+                continue
+            hops = node_array(nodes)
+            if not self._paths:
+                np.add.at(counts, hops, w)
+                continue
+            # Every path climbs one edge per step, all paths together.
+            hops = hops[hops != tree.root]
+            while hops.size:
+                np.add.at(counts, hops, w)
+                hops = tree.parent[hops]
+                hops = hops[hops != tree.root]
         return counts
 
     def edges(self):
-        parent = self._tree.parent_array
+        parent = self._tree.parent
         up = self._crossings(self._up)
         down = self._crossings(self._down)
         up_nodes = np.flatnonzero(up)
@@ -243,8 +252,9 @@ class FloodLoad(EdgeLoad):
     Every node that joined the tree sent one message to each distinct
     neighbour other than itself and its parent (the root skips only
     itself), so every crossed edge has load 1.  The totals are the tree's
-    recorded build cost; the listing is cached on the tree, whose topology
-    never changes (trees are dropped on churn).
+    recorded build cost; the listing reads the network's table of distinct
+    neighbour pairs and is cached on the tree, whose topology never
+    changes (trees are dropped on churn).
     """
 
     __slots__ = ("_network", "_tree")
@@ -258,13 +268,9 @@ class FloodLoad(EdgeLoad):
     def edges(self):
         tree = self._tree
         if tree.flood_edges is None:
-            graph = self._network.graph
-            n = graph.n
-            non_loop = graph.csr_source != graph.csr_target
-            keys = np.unique(graph.csr_source[non_loop] * n + graph.csr_target[non_loop])
+            n = self._network.graph.n
+            keys = self._network.neighbor_keys
             src, dst = keys // n, keys % n
-            keep = (tree.depth_array[src] >= 0) & (
-                (src == tree.root) | (dst != tree.parent_array[src])
-            )
+            keep = (tree.depth[src] >= 0) & ((src == tree.root) | (dst != tree.parent[src]))
             tree.flood_edges = PairLoad(self._network, src[keep], dst[keep]).edges()
         return tree.flood_edges

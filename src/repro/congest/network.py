@@ -97,22 +97,29 @@ class Network:
         # Directed adjacency with multiplicity, as sorted (u*n + v) keys —
         # built vectorized from the edge array; queries binary-search it.
         graph = self.graph
+        n = graph.n
         ea = graph.edge_array
         if len(ea):
             u, v = ea[:, 0], ea[:, 1]
             non_loop = u != v
-            keys = np.concatenate([u * graph.n + v, v[non_loop] * graph.n + u[non_loop]])
+            keys = np.concatenate([u * n + v, v[non_loop] * n + u[non_loop]])
             self._mult_keys, self._mult_counts = np.unique(keys, return_counts=True)
         else:
             self._mult_keys = np.empty(0, dtype=np.int64)
             self._mult_counts = np.empty(0, dtype=np.int64)
+        #: Sorted ``u * n + v`` keys of the distinct directed pairs ``u ≠ v``
+        #: joined by an edge: where a flood sends (one explore per pair).
+        self.neighbor_keys = self._mult_keys[self._mult_keys // n != self._mult_keys % n]
+        #: Per-node count of distinct neighbours other than itself.
+        self.neighbor_counts = np.bincount(self.neighbor_keys // n, minlength=n)
 
     def refresh_topology(self) -> None:
         """Re-derive adjacency tables after the graph's edge set changed.
 
         Called by the churn cascade right after
         :meth:`~repro.graphs.graph.Graph.apply_delta` rebuilt the CSR
-        arrays.  Only derived lookup state is rebuilt — the ledger, RNG,
+        arrays.  Only derived lookup state (the multiplicity and
+        neighbour tables, the pair-slot index) is rebuilt — the ledger, RNG,
         and round counters carry straight across the topology event (churn
         happens *between* rounds of one continuing execution).  Refusing
         to re-key in-flight messages is deliberate: protocols run to

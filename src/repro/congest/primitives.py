@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.congest.load import EVERY, FloodLoad, TreeSweep
+from repro.congest.load import EVERY, FloodLoad, TreeSweep, node_array
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.protocol import Protocol, ProtocolAPI
@@ -47,62 +47,83 @@ __all__ = [
     "charged_convergecast",
     "charged_broadcast",
     "ancestor_closure",
+    "ancestor_closures",
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class BfsTree:
     """A rooted BFS tree produced by the flood protocol.
 
-    ``parent[root] == root``; ``depth`` is hop distance from the root;
-    ``height`` is the eccentricity of the root (max depth).  ``unreached``
-    counts the nodes a crash-tolerant build could not reach (depth ``-1``).
+    ``parent`` and ``depth`` are int32 arrays over all ``n`` nodes:
+    ``parent[root] == root`` and ``depth`` is the hop distance from the
+    root.  A crash-tolerant build leaves the nodes it could not reach at
+    depth ``-1`` (counted by ``unreached``).  ``height`` (the root's
+    eccentricity) and every derived order are computed once per tree.
+    Only the event-driven protocols read :attr:`children`, so the
+    per-node child lists are built on first access; the charged fast
+    paths work from the arrays alone.
     """
 
     root: int
-    parent: list[int]
-    depth: list[int]
-    children: list[list[int]] = field(repr=False)
+    parent: np.ndarray
+    depth: np.ndarray
     build_rounds: int = 0
     build_messages: int = 0
-    unreached: int = 0
     #: Per-edge listing of the build flood, cached by :class:`FloodLoad`.
-    flood_edges: tuple | None = field(default=None, repr=False, compare=False)
+    flood_edges: tuple | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def height(self) -> int:
-        return max(self.depth)
+        return int(self.depth.max())
 
     @property
     def n(self) -> int:
         return len(self.parent)
+
+    @cached_property
+    def unreached(self) -> int:
+        return int(np.count_nonzero(self.depth < 0))
 
     @property
     def reached(self) -> int:
         return self.n - self.unreached
 
     @cached_property
-    def parent_array(self) -> np.ndarray:
-        return np.asarray(self.parent, dtype=np.int64)
+    def children(self) -> list[list[int]]:
+        """Child lists in node-ID order (read by the event-driven protocols)."""
+        kids = np.flatnonzero(self.depth > 0)
+        parents = self.parent[kids]
+        flat = kids[np.argsort(parents, kind="stable")].tolist()
+        bounds = [0, *np.cumsum(np.bincount(parents, minlength=self.n)).tolist()]
+        return [flat[bounds[v] : bounds[v + 1]] for v in range(self.n)]
 
     @cached_property
-    def depth_array(self) -> np.ndarray:
-        return np.asarray(self.depth, dtype=np.int64)
+    def root_link(self) -> list[int]:
+        """The root's lowest-ID child as a one-node group (empty if ``n == 1``).
+
+        The smallest node at depth 1: the link through which pipelined
+        streams funnel into and out of the root.
+        """
+        return np.flatnonzero(self.depth == 1)[:1].tolist()
+
+    @cached_property
+    def convergecast_order(self) -> np.ndarray:
+        """Non-root nodes deepest-first, ties by node ID; unreached nodes last."""
+        order = np.argsort(-self.depth, kind="stable")
+        return order[order != self.root]
 
     def path_to_root(self, node: int) -> list[int]:
         """Tree path ``node -> ... -> root`` (inclusive both ends)."""
-        if self.depth[node] < 0:
+        hops = int(self.depth[node])
+        if hops < 0:
             raise ProtocolError(f"node {node} is not reachable from tree root {self.root}")
-        path = [node]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-            if len(path) > self.n:
-                raise ProtocolError("parent pointers contain a cycle")
+        path = [int(node)]
+        for _ in range(hops):
+            path.append(int(self.parent[path[-1]]))
+        if path[-1] != self.root:
+            raise ProtocolError("parent pointers do not lead to the root")
         return path
-
-    def nodes_by_depth_desc(self) -> list[int]:
-        """All nodes ordered deepest-first (convergecast schedule order)."""
-        return sorted(range(self.n), key=lambda v: -self.depth[v])
 
 
 class BfsFloodProtocol(Protocol):
@@ -143,13 +164,9 @@ class BfsFloodProtocol(Protocol):
             raise ProtocolError(
                 f"BFS reached {len(self.parent)}/{n} nodes; graph must be connected"
             )
-        parent = [self.parent[v] for v in range(n)]
-        depth = [self.depth[v] for v in range(n)]
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v != self.root:
-                children[parent[v]].append(v)
-        return BfsTree(root=self.root, parent=parent, depth=depth, children=children)
+        parent = np.array([self.parent[v] for v in range(n)], dtype=np.int32)
+        depth = np.array([self.depth[v] for v in range(n)], dtype=np.int32)
+        return BfsTree(root=self.root, parent=parent, depth=depth)
 
 
 def _vectorized_bfs(
@@ -165,8 +182,8 @@ def _vectorized_bfs(
     nodes then keep depth ``-1`` and stay out of the tree.
     """
     n = graph.n
-    depth = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, root, dtype=np.int64)
+    depth = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, root, dtype=np.int32)
     depth[root] = 0
     frontier = np.array([root], dtype=np.int64)
     reached = 1
@@ -204,7 +221,7 @@ def _vectorized_bfs(
     return depth, parent
 
 
-def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
+def _flood_cost(network: Network, root: int, depth: np.ndarray) -> tuple[int, int]:
     """Exact ``(rounds, messages)`` the event-driven flood would charge.
 
     Every node that joins the tree at depth ``d`` sends one ``explore`` to
@@ -213,11 +230,9 @@ def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
     run's last round happens — one round after the deepest sender adopts.
     One message per directed node pair means queues never exceed one, so
     congestion is 1 every delivering round, exactly as the engine observes.
+    The distinct-neighbour counts come from the network's topology table.
     """
-    n = graph.n
-    non_loop = graph.csr_source != graph.csr_target
-    pair_keys = np.unique(graph.csr_source[non_loop] * n + graph.csr_target[non_loop])
-    distinct = np.bincount(pair_keys // n, minlength=n)
+    distinct = network.neighbor_counts
     sends = distinct - 1  # every non-root node skips its parent...
     sends[root] = distinct[root]  # ...the root skips only itself
     sends[depth < 0] = 0
@@ -226,23 +241,49 @@ def _flood_cost(graph: Graph, root: int, depth: np.ndarray) -> tuple[int, int]:
     return rounds, messages
 
 
-def ancestor_closure(tree: BfsTree, nodes: Iterable[int]) -> set[int]:
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries (a sort and a mask: cheaper than ``np.unique``)."""
+    keys = np.sort(keys, axis=None)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def ancestor_closures(tree: BfsTree, groups: Sequence[Iterable[int]]) -> list[np.ndarray]:
+    """:func:`ancestor_closure` of every node group, computed together.
+
+    All paths of all groups climb one level per step in one array
+    (``parent[root] == root`` parks finished paths at the root), so the
+    work is O(height × Σ group sizes) in ``height`` vectorized steps,
+    however many groups there are.
+    """
+    if not groups:
+        return []
+    arrays = [node_array(nodes) for nodes in groups]
+    nodes = np.concatenate(arrays)
+    labels = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
+    reached = tree.depth[nodes] > 0
+    nodes, labels = nodes[reached], labels[reached]
+    climb = np.empty((int(tree.depth[nodes].max(initial=0)), nodes.size), dtype=np.int64)
+    climb[:1] = nodes
+    for step in range(1, len(climb)):
+        climb[step] = tree.parent[climb[step - 1]]
+    n = tree.n
+    keys = _distinct(climb + labels * n)
+    keys = keys[keys % n != tree.root]
+    bounds = np.searchsorted(keys, np.arange(1, len(arrays)) * n)
+    return np.split(keys % n, bounds)
+
+
+def ancestor_closure(tree: BfsTree, nodes: Iterable[int]) -> np.ndarray:
     """Non-root nodes on the tree paths from reached ``nodes`` to the root.
 
     The reporters of a convergecast restricted to ``nodes``: exactly the
-    nodes whose subtree holds one of them.
+    nodes whose subtree holds one of them, ascending.  The work is
+    O(height × len(nodes)), not O(n).  Unreached nodes (cut off by a
+    crash) have no path to report along.
     """
-    depth = tree.depth
-    closure: set[int] = set()
-    for node in nodes:
-        if depth[node] < 0:
-            continue  # cut off by a crash: no tree path to report along
-        for hop in tree.path_to_root(node):
-            if hop in closure:
-                break
-            closure.add(hop)
-    closure.discard(tree.root)
-    return closure
+    return ancestor_closures(tree, [nodes])[0]
 
 
 @charged_fast_path(
@@ -290,23 +331,10 @@ def build_bfs_tree(
         tree.build_rounds = rounds
         tree.build_messages = network.messages_sent - messages_before
     else:
-        graph = network.graph
-        depth, parent = _vectorized_bfs(graph, root, allow_unreached=allow_unreached)
-        rounds, messages = _flood_cost(graph, root, depth)
-        children: list[list[int]] = [[] for _ in range(graph.n)]
-        parent_list = parent.tolist()
-        depth_list = depth.tolist()
-        for v, p in enumerate(parent_list):
-            if v != root and depth_list[v] >= 0:
-                children[p].append(v)
+        depth, parent = _vectorized_bfs(network.graph, root, allow_unreached=allow_unreached)
+        rounds, messages = _flood_cost(network, root, depth)
         tree = BfsTree(
-            root=root,
-            parent=parent_list,
-            depth=depth.tolist(),
-            children=children,
-            build_rounds=rounds,
-            build_messages=messages,
-            unreached=int(np.count_nonzero(depth < 0)),
+            root=root, parent=parent, depth=depth, build_rounds=rounds, build_messages=messages
         )
         if rounds:
             network.charge(rounds, FloodLoad(network, tree))
@@ -346,7 +374,7 @@ class ConvergecastProtocol(Protocol):
         if node == self.tree.root:
             self.result = self.acc[node]
         else:
-            api.send(node, self.tree.parent[node], ("agg", self.acc[node]), words=self.words)
+            api.send(node, int(self.tree.parent[node]), ("agg", self.acc[node]), words=self.words)
 
     def on_start(self, api: ProtocolAPI) -> None:
         ready = [v for v in range(self.tree.n) if self.pending[v] == 0]
@@ -403,21 +431,33 @@ def charged_convergecast(
 ) -> Any:
     """Fast-path convergecast: same result and cost as the protocol.
 
+    Values merge into their parents deepest-first, ties by node ID (the
+    protocol's schedule; unreached nodes merge into the root's slot last).
+
     ``participants`` optionally marks the nodes that actually carry
-    information (e.g. holders of at least one walk token); nodes outside the
-    ancestor closure of the participants stay silent, reducing the message
-    charge — the sweep still takes ``height`` rounds because levels proceed
-    in lockstep (Algorithm 3's "for i = D down to 0").
+    information (e.g. holders of at least one walk token); every other
+    value must be ``combine``'s identity.  Nodes outside the ancestor
+    closure of the participants stay silent, reducing the message charge —
+    the sweep still takes ``height`` rounds because levels proceed in
+    lockstep (Algorithm 3's "for i = D down to 0").  Only the closure (and
+    any unreached participant) is merged, in the same relative order:
+    outside it both sides of a merge are identities, so the merges the
+    full schedule adds change nothing and, for the reservoir merge of
+    Algorithm 3, draw no random numbers.
     """
     if words > network.max_words:
         raise ProtocolError(f"convergecast payload of {words} words exceeds cap")
+    if participants is None:
+        up = EVERY
+        order = tree.convergecast_order
+    else:
+        nodes = node_array(participants)
+        up = ancestor_closure(tree, nodes)
+        stray = _distinct(nodes[tree.depth[nodes] < 0])
+        order = np.concatenate([up[np.argsort(-tree.depth[up], kind="stable")], stray])
     acc = list(values)
-    for node in tree.nodes_by_depth_desc():
-        if node == tree.root:
-            continue
-        acc[tree.parent[node]] = combine(acc[tree.parent[node]], acc[node])
-
-    up = EVERY if participants is None else ancestor_closure(tree, participants)
+    for node, parent in zip(order.tolist(), tree.parent[order].tolist()):
+        acc[parent] = combine(acc[parent], acc[node])
     network.charge(tree.height, TreeSweep(network, tree, up=[(up, 1)]))
     return acc[tree.root]
 

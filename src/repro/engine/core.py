@@ -56,7 +56,7 @@ from repro.congest.phases import (
     SERVE_RECOVERY,
     STITCH_ROUTE,
 )
-from repro.congest.primitives import BfsTree, ancestor_closure, build_bfs_tree
+from repro.congest.primitives import BfsTree, ancestor_closures, build_bfs_tree
 from repro.engine.model import EngineStats, WalkRequest
 from repro.engine.pool import MaintenanceReport, PoolManager
 from repro.errors import WalkError
@@ -1112,7 +1112,6 @@ class WalkEngine:
         manager = None if pool.single_use else self._pool_manager
         total_gmw = 0
         root = base_tree.root
-        depth = base_tree.depth
         height = base_tree.height
 
         while True:
@@ -1128,7 +1127,6 @@ class WalkEngine:
                         base_tree = build_bfs_tree(
                             net, root, cache=self._tree_cache, allow_unreached=True
                         )
-                        depth = base_tree.depth
                         height = base_tree.height
                         self._recover_slots(slots, mutated, faults, base_tree)
 
@@ -1205,10 +1203,10 @@ class WalkEngine:
                 # Convergecast: per draw, the ancestor closure of the
                 # connector's holder set (what charged_convergecast bills),
                 # streamed as pipelined stages on the shared tree.
-                closures = [
-                    (ancestor_closure(base_tree, store.holders_for_source(c)), len(walks))
-                    for c, walks in groups.items()
-                ]
+                holders = ancestor_closures(
+                    base_tree, [store.holders_for_source(c) for c in groups]
+                )
+                closures = [(up, len(walks)) for up, walks in zip(holders, groups.values())]
                 net.charge(height + n_draws - 1, TreeSweep(net, base_tree, up=closures))
                 # Delete directives: one broadcast per draw, pipelined.
                 net.charge(
@@ -1216,7 +1214,6 @@ class WalkEngine:
                 )
 
             # Draw without replacement and advance every active walk.
-            hops: list[int] = []
             connectors: list[int] = []
             destinations: list[int] = []
             for c, walks in groups.items():
@@ -1234,7 +1231,6 @@ class WalkEngine:
                         slot.chunks.append(record.path[1:])
                     slot.completed += record.length
                     slot.current = record.destination
-                    hops.append(depth[c] + depth[record.destination])
                     connectors.append(c)
                     destinations.append(record.destination)
 
@@ -1244,7 +1240,8 @@ class WalkEngine:
                 routes = TreeSweep(
                     net, base_tree, up=[(connectors, 1)], down=[(destinations, 1)], paths=True
                 )
-                net.charge(max(hops) + n_draws - 1, routes)
+                hops = base_tree.depth[connectors] + base_tree.depth[destinations]
+                net.charge(int(hops.max()) + n_draws - 1, routes)
         return total_gmw
 
     def _recover_slots(

@@ -272,19 +272,26 @@ class Graph:
 
         Returns an array of slot indices parallel to ``positions``.  The
         corresponding next positions are ``self.csr_target[slots]``.  For
-        unweighted graphs this is a single vectorized draw; weighted graphs
-        fall back to an inverse-CDF draw per position (still vectorized via
-        searchsorted over per-node cumulative weights).
+        unweighted graphs this is a single vectorized draw — bounded by one
+        scalar when every position has the same degree, which draws the
+        identical values and leaves ``rng`` in the identical state as the
+        per-position bounds, only faster; weighted graphs fall back to an
+        inverse-CDF draw per position (still vectorized via searchsorted
+        over per-node cumulative weights).
         """
         positions = np.asarray(positions, dtype=np.int64)
         lo = self.indptr[positions]
+        if not positions.size:
+            return lo
         deg = self.indptr[positions + 1] - lo
-        if np.any(deg == 0):
+        low = int(deg.min())
+        if low == 0:
             bad = positions[deg == 0][0]
             raise GraphError(f"node {int(bad)} is isolated; random walk undefined")
         if self._uniform_weights:
-            offsets = rng.integers(0, deg)
-            return lo + offsets
+            if low == int(deg.max()):
+                return lo + rng.integers(0, low, size=positions.size)
+            return lo + rng.integers(0, deg)
         cum = self._cumulative_weights()
         # cum[lo - 1] wraps to cum[-1] when lo == 0; np.where masks it out.
         base = np.where(lo > 0, cum[lo - 1], 0.0)

@@ -100,7 +100,8 @@ def perform_short_walks(
     positions = origins.copy()
     paths = None
     if record_paths:
-        paths = np.empty((total, max_len + 1), dtype=np.int64)
+        # Column-major: each step writes one contiguous column.
+        paths = np.empty((total, max_len + 1), dtype=np.int64, order="F")
         paths[:, 0] = origins
 
     rounds_before = network.rounds
@@ -115,7 +116,7 @@ def perform_short_walks(
             if paths is not None:
                 # Full-column write: rows of finished tokens hold their
                 # final position, in columns past `length` that no reader
-                # ever slices — and a strided column store beats a
+                # ever slices — and a contiguous column store beats a
                 # boolean-mask scatter by a wide margin.
                 paths[:, step] = positions
 

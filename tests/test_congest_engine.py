@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.congest import Message, Network, Protocol
+from repro.congest.load import EdgeLoad
 from repro.errors import ProtocolError
 from repro.graphs import cycle_graph, path_graph, star_graph
 
@@ -202,6 +204,19 @@ class TestLedgerPhases:
         net = Network(path_graph(4))
         with pytest.raises(ValueError):
             net.ledger.charge(-1)
+
+    def test_charge_takes_python_ints_only(self):
+        # A numpy scalar in a charge would leak its fixed width into the
+        # ledger totals (and every export of them), so it is refused.
+        net = Network(path_graph(4))
+        with pytest.raises(TypeError):
+            net.ledger.charge(np.int32(2))
+        for field in ("messages", "congestion"):
+            load = EdgeLoad()
+            setattr(load, field, np.int64(1))
+            with pytest.raises(TypeError):
+                net.ledger.charge(1, load)
+        assert (net.rounds, net.messages_sent, net.ledger.max_congestion) == (0, 0, 0)
 
     def test_phase_total_sums_family(self):
         # "family" and "family/sub" phases sum under phase_total; unrelated

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.congest import (
+    BfsFloodProtocol,
     BroadcastProtocol,
     ConvergecastProtocol,
     Network,
@@ -18,6 +19,7 @@ from repro.congest import (
     charged_broadcast,
     charged_convergecast,
 )
+from repro.dynamic import GraphDelta
 from repro.errors import ProtocolError
 from repro.graphs import (
     Graph,
@@ -248,8 +250,8 @@ class TestBfsFastPathEquivalence:
 
         # Identical BfsTree: parent ties broken lowest-ID, same depths,
         # same children ordering.
-        assert tree_f.parent == tree_p.parent
-        assert tree_f.depth == tree_p.depth
+        assert np.array_equal(tree_f.parent, tree_p.parent)
+        assert np.array_equal(tree_f.depth, tree_p.depth)
         assert tree_f.children == tree_p.children
         assert tree_f.root == tree_p.root
 
@@ -294,3 +296,26 @@ class TestBfsFastPathEquivalence:
         assert res_f == res_p
         assert net_f.rounds == net_p.rounds
         assert net_f.messages_sent == net_p.messages_sent
+
+    def test_flood_cost_follows_churn(self):
+        """After a delta and ``refresh_topology`` the fast path bills the
+        flood of the new topology: new distinct neighbours add explores,
+        while extra parallel edges and self-loops add none."""
+        g = Graph(6, [(0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 4), (4, 5), (5, 5), (1, 4)])
+        net = Network(g)
+        for root in range(g.n):
+            build_bfs_tree(net, root)
+        g.apply_delta(
+            GraphDelta(
+                insert_edges=[(0, 3), (0, 3), (3, 3), (2, 5), (1, 2)],
+                delete_edges=[(1, 4), (0, 1)],
+            )
+        )
+        net.refresh_topology()
+        for root in range(g.n):
+            before = net.ledger.capture()
+            build_bfs_tree(net, root)
+            fast = net.ledger.delta_since(before)
+            proto_net = Network(g)
+            proto_net.run(BfsFloodProtocol(root))
+            assert (fast.rounds, fast.messages) == (proto_net.rounds, proto_net.messages_sent), root

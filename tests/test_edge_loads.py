@@ -33,8 +33,10 @@ from repro.congest.load import (
     SlotLoad,
     TreeSweep,
 )
+from repro.congest.primitives import ancestor_closures
 from repro.graphs.graph import Graph
 from repro.obs import HeatmapSink, Probe
+from repro.walks.sample_destination import make_sample_combine
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +192,65 @@ def test_crash_tolerant_trees_bill_only_reached_nodes(atlas):
         ):
             per_slot(load, holed.n_slots)
             assert load.messages == tree.reached - 1
+
+
+def _reference_convergecast(tree, values, combine):
+    """The full-order schedule: every non-root node deepest-first, ties by ID."""
+    depth, parent = tree.depth.tolist(), tree.parent.tolist()
+    acc = list(values)
+    for node in sorted(range(tree.n), key=lambda v: -depth[v]):
+        if node != tree.root:
+            acc[parent[node]] = combine(acc[parent[node]], acc[node])
+    return acc[tree.root]
+
+
+def _reference_closure(tree, nodes) -> list[int]:
+    """Non-root nodes on the parent-pointer paths of the reached ``nodes``."""
+    depth, parent = tree.depth.tolist(), tree.parent.tolist()
+    closure = set()
+    for v in nodes:
+        while depth[v] > 0:
+            closure.add(v)
+            v = parent[v]
+    return sorted(closure)
+
+
+def test_closure_convergecast_draws_the_full_order_subsequence(atlas):
+    # Merging only the participants' ancestor closure must return the same
+    # reservoir sample and leave the generator in the same state as merging
+    # every node: outside the closure both sides are (0, None), which draws
+    # nothing.  Holed variants (last node isolated) add unreached nodes.
+    pick = np.random.default_rng(7)
+    for graph in atlas:
+        variants = [(graph, False)]
+        crashed = graph.n - 1
+        live = [(u, v) for u, v in graph.edge_array.tolist() if crashed not in (u, v)]
+        if live:
+            variants.append((Graph(graph.n, live, name=graph.name), True))
+        for topology, holed in variants:
+            roots = pick.choice(topology.n - 1 if holed else topology.n, size=2, replace=False)
+            for root in roots.tolist():
+                tree = build_bfs_tree(Network(topology), root, allow_unreached=holed)
+                groups = [
+                    set(),
+                    {int(pick.integers(topology.n))},
+                    set(pick.choice(topology.n, size=pick.integers(1, topology.n + 1)).tolist()),
+                    set(range(topology.n)),
+                ]
+                closures = [_reference_closure(tree, group) for group in groups]
+                assert [c.tolist() for c in ancestor_closures(tree, groups)] == closures
+                for participants, closure in zip(groups, closures):
+                    values = [(0, None)] * topology.n
+                    for v in participants:
+                        values[v] = (int(pick.integers(1, 5)), ("token", v))
+                    seed = int(pick.integers(2**32))
+                    ref_rng = np.random.default_rng(seed)
+                    want = _reference_convergecast(tree, values, make_sample_combine(ref_rng))
+                    rng = np.random.default_rng(seed)
+                    net = Network(topology)
+                    got = charged_convergecast(
+                        net, tree, values, make_sample_combine(rng), participants=participants
+                    )
+                    assert got == want, (graph.name, holed, root, participants)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state, graph.name
+                    assert net.messages_sent == len(closure)

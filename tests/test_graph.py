@@ -150,6 +150,32 @@ class TestWalkStepping:
         hits = sum(g.random_neighbor(0, rng) == 2 for _ in range(20_000))
         assert abs(hits / 20_000 - 0.75) < 0.02
 
+    def test_step_walk_slots_stream_identity(self):
+        # Constant-degree frontiers draw with one scalar bound; the slots and
+        # the generator state afterwards must match the per-position bounds.
+        graphs = [
+            cycle_graph(12),  # degree 2 everywhere
+            Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]),  # degrees 4, 2, 2, 1, 1
+            Graph(8, [(0, v) for v in range(1, 8)] + [(1, 2), (2, 3)]),  # degree 7 hub
+        ]
+        pick = make_rng(11)
+        constant, mixed = set(), 0
+        for graph in graphs:
+            deg = graph.degrees
+            frontiers = [np.full(size, v) for v in range(graph.n) for size in (1, 5, 300)]
+            frontiers += [pick.integers(0, graph.n, size=size) for size in (2, 40, 1000)]
+            for frontier in frontiers:
+                if deg[frontier].min() == deg[frontier].max():
+                    constant.add(int(deg[frontier[0]]))
+                else:
+                    mixed += 1
+                fast, ref = make_rng(5), make_rng(5)
+                slots = graph.step_walk_slots(frontier, fast)
+                lo = graph.indptr[frontier]
+                assert np.array_equal(slots, lo + ref.integers(0, graph.indptr[frontier + 1] - lo))
+                assert fast.bit_generator.state == ref.bit_generator.state
+        assert constant >= {1, 2, 4, 7} and mixed > 0
+
     def test_walk_length_and_validity(self):
         g = cycle_graph(8)
         walk = g.walk(0, 25, make_rng(5))
